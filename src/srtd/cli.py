@@ -466,6 +466,9 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"srtd: divergence: {err}", file=sys.stderr)
         return 4
+    except np.linalg.LinAlgError as err:
+        print(f"srtd: numerical error: {err}", file=sys.stderr)
+        return 5
     except OSError as err:
         print(f"srtd: i/o error: {err}", file=sys.stderr)
         return 1

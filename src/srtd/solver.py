@@ -1,20 +1,25 @@
 """Tensor completion engine: truncated tensor nuclear norm + DCT-domain
 ℓ1 sparsity, minimized by a two-loop ADMM.
 
-Outer loop: T-SVD the current estimate, freeze the truncated factor pair
-(a_k, b_k), hand the resulting convex subproblem to the inner loop. Inner
-loop: ADMM sweeps in the fixed order X -> E -> W -> Y -> Z -> mu, where E
-lives in the 3-D DCT domain, W carries the observation constraint, Y and Z
-are the duals for X=W and E=dct3(X), and mu grows geometrically up to a cap.
-The inner loop is warm-started from the previous outer iterate; mu is not
-reset between outer steps.
+Outer loop: take the r leading T-SVD factors of the current estimate,
+freeze the truncated factor pair (a_k, b_k), hand the resulting convex
+subproblem to the inner loop. Inner loop: ADMM sweeps in the fixed order
+X -> E -> Z -> W -> Y -> mu, where E lives in the 3-D DCT domain, W carries
+the observation constraint, Y and Z are the duals for X=W and E=dct3(X), and
+mu grows geometrically up to a cap. The inner loop is warm-started from the
+previous outer iterate; mu is not reset between outer steps.
 
 All updates are closed-form:
 
     X = svt( (W - Y/mu + idct3(E + Z/mu)) / 2, 1/(2 mu) )
     E = soft_threshold( dct3(X) - Z/mu, lambda/mu )
+    Z += mu (E - dct3(X))
     W = X + (a_k^T * b_k + Y)/mu,  then W on the observed set := M
-    Y += mu (X - W);  Z += mu (E - dct3(X));  mu = min(rho mu, mu_max)
+    Y += mu (X - W);  mu = min(rho mu, mu_max)
+
+Z reads only E, X, Z and mu, so it follows E directly and shares its
+dct3(X); a_k^T * b_k is fixed within an outer step and computed once per
+step.
 
 Setting ``sparse_term=False`` removes the E/Z machinery entirely (the pure
 truncated-nuclear-norm baseline); with lambda = 0 the full model collapses
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
-from .t_algebra import TSvdFactors, svt, tnn, tproduct, trace_pair, tsvd
+from .t_algebra import TSvdFactors, svt, tnn, tproduct, trace_pair, tsvd_leading
 from .tensor_core import Tensor3, astensor3, fro_norm, l1_norm, ttranspose
 from .transforms import dct3, idct3
 
@@ -129,20 +134,16 @@ def update_x(state: SolverState, cfg: SolverConfig) -> Tensor3:
     return svt(avg, 1.0 / (2.0 * state.mu))
 
 
-def update_e(state: SolverState, cfg: SolverConfig) -> Tensor3:
-    return soft_threshold(dct3(state.x) - state.z / state.mu, cfg.lam / state.mu)
+def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
+    """E-update; ``dx`` is dct3(state.x)."""
+    return soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
 
 
-def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega) -> Tensor3:
-    w_free = state.x + (tproduct(ttranspose(state.a_k), state.b_k) + state.y) / state.mu
+def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Tensor3) -> Tensor3:
+    """W-update; ``grad`` is tproduct(ttranspose(a_k), b_k)."""
+    w_free = state.x + (grad + state.y) / state.mu
     # observed entries are pinned to the data, free entries keep the update
     return np.where(omega, m, w_free)
-
-
-def update_duals(state: SolverState):
-    y = state.y + state.mu * (state.x - state.w)
-    z = state.z + state.mu * (state.e - dct3(state.x))
-    return y, z
 
 
 def update_mu(state: SolverState, cfg: SolverConfig) -> float:
@@ -185,6 +186,7 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         state.b_k = b_k
         carrier = state.x
     state.inner_iter = 0
+    grad = tproduct(ttranspose(a_k), b_k)
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
@@ -198,15 +200,15 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
         if sparse_term:
-            state.e = update_e(state, cfg)
-        state.w = update_w(state, cfg, m, omega)
+            dx = dct3(state.x)
+            state.e = update_e(state, cfg, dx)
+            state.z = state.z + state.mu * (state.e - dx)
+            del dx  # not held while the W-update allocates
+        state.w = update_w(state, cfg, m, omega, grad)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        if sparse_term:
-            state.y, state.z = update_duals(state)
-        else:
-            state.y = state.y + state.mu * (state.x - state.w)
+        state.y = state.y + state.mu * (state.x - state.w)
         state.mu = update_mu(state, cfg)
         state.inner_iter = t
 
@@ -225,8 +227,9 @@ def _surrogate(x, a_k, b_k, lam) -> float:
 def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True) -> SolveReport:
     """Complete tensor ``m`` observed on ``omega``.
 
-    Outer alternation: T-SVD the current estimate, truncate to rank cfg.r,
-    run the warm-started inner ADMM, stop on the outer iterate-change test.
+    Outer alternation: take the cfg.r leading T-SVD factors of the current
+    estimate, run the warm-started inner ADMM, stop on the outer
+    iterate-change test.
     The returned tensor equals ``m`` exactly (bitwise) on the observed set.
     """
     m = astensor3(m, "m")
@@ -249,7 +252,8 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
     delta = np.inf
 
     for k in range(1, cfg.max_outer + 1):
-        a_k, b_k = truncate_factors(tsvd(x_cur), cfg.r)
+        u_r, v_r = tsvd_leading(x_cur, cfg.r)
+        a_k, b_k = ttranspose(u_r), ttranspose(v_r)
         trace.append(_surrogate(x_cur, a_k, b_k, cfg.lam))
         if state is not None:
             state.outer_iter = k

@@ -2,10 +2,11 @@
 and the tensor singular value thresholding operator.
 
 Everything is computed in the mode-3 Fourier domain: a t-product is a
-matrix product per frequency slice, and the T-SVD is a complex SVD per
-frequency slice. Real input has a conjugate-symmetric spectrum, so only the
-first ``n3 // 2 + 1`` slices are ever touched (rfft/irfft); results are
-identical to the full-spectrum route up to rounding.
+matrix product per frequency slice, and the T-SVD is an SVD per frequency
+slice (complex, except on the slices that are exactly real). Real input has
+a conjugate-symmetric spectrum, so only the first ``n3 // 2 + 1`` slices are
+ever touched (rfft/irfft); results are identical to the full-spectrum route
+up to rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensor_core import Tensor3, astensor3, ttrace
+from .tensor_core import Tensor3, astensor3
 
 _SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
 
@@ -48,26 +49,63 @@ def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
     return _from_spectral_stack(fc, a.shape[2])
 
 
+def _slice_svd(fa: np.ndarray, i: int, n3: int, full_matrices: bool = False):
+    """SVD of frequency slice ``i`` of the spectral stack ``fa`` of a real
+    tensor with ``n3`` frontal slices.
+
+    The zero-frequency slice, and the Nyquist slice when n3 is even, are
+    exactly real: they go through a real SVD, which is about twice as fast
+    and attaches no unit phases to the factors. If LAPACK's gesdd (numpy's
+    driver) does not converge, the slice is retried with gesvd, which is
+    slower but converges on slices where gesdd gives up.
+    """
+    m = fa[i].real if i == 0 or 2 * i == n3 else fa[i]
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        import scipy.linalg  # only here: importing it adds to every start-up
+
+        return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
+
+
 def tsvd(a: Tensor3) -> TSvdFactors:
-    """Factor ``a`` as u * s * ttranspose(v) via per-frequency complex SVDs."""
+    """Factor ``a`` as u * s * ttranspose(v) via one SVD per frequency slice."""
     a = astensor3(a)
     n1, n2, n3 = a.shape
     fa = _spectral_stack(a)
-    fu, sv, fvh = np.linalg.svd(fa, full_matrices=True)
-    # Zero-frequency (and Nyquist, for even n3) slices are exactly real, but
-    # a complex SVD may attach unit phases to their factors. Redo those few
-    # slices in real arithmetic so u, s, v reassemble without imaginary dust.
-    real_slices = [0] + ([fa.shape[0] - 1] if n3 % 2 == 0 else [])
-    for i in real_slices:
-        fu[i], sv[i], fvh[i] = np.linalg.svd(fa[i].real, full_matrices=True)
+    nf = fa.shape[0]
+    fu = np.empty((nf, n1, n1), dtype=np.complex128)
     fs = np.zeros(fa.shape, dtype=np.complex128)
+    fv = np.empty((nf, n2, n2), dtype=np.complex128)
     k = np.arange(min(n1, n2))
-    fs[:, k, k] = sv
+    for i in range(nf):
+        u, sv, vh = _slice_svd(fa, i, n3, full_matrices=True)
+        fu[i], fs[i, k, k], fv[i] = u, sv, vh.conj().T
     return TSvdFactors(
         u=_from_spectral_stack(fu, n3),
         s=_from_spectral_stack(fs, n3),
-        v=_from_spectral_stack(np.conjugate(np.swapaxes(fvh, -2, -1)), n3),
+        v=_from_spectral_stack(fv, n3),
     )
+
+
+def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
+    """The first ``r`` lateral slices of the T-SVD factors u (n1,r,n3) and
+    v (n2,r,n3) of ``a``, without s and without the trailing singular
+    vectors. Equal to ``tsvd(a).u[:, :r, :]`` and ``tsvd(a).v[:, :r, :]``
+    up to the phase of each singular vector pair."""
+    a = astensor3(a)
+    n1, n2, n3 = a.shape
+    kmax = min(n1, n2)
+    if not 1 <= r <= kmax:
+        raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
+    fa = _spectral_stack(a)
+    nf = fa.shape[0]
+    fu = np.empty((nf, n1, r), dtype=np.complex128)
+    fv = np.empty((nf, n2, r), dtype=np.complex128)
+    for i in range(nf):
+        u, _, vh = _slice_svd(fa, i, n3)
+        fu[i], fv[i] = u[:, :r], vh[:r].conj().T
+    return _from_spectral_stack(fu, n3), _from_spectral_stack(fv, n3)
 
 
 def tubal_rank(a: Tensor3, tol: float = 1e-8) -> int:
@@ -124,15 +162,22 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
 
-    This is the proximal operator of ``tau * tnn``.
+    This is the proximal operator of (tau/n3) * sum_f ||X_f||_*, the sum
+    running over all n3 slices X_f of the mode-3 DFT of x. That equals
+    ``tau * tnn`` only for n3 = 1.
     """
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
+    n3 = x.shape[2]
     fx = _spectral_stack(x)
-    fu, sv, fvh = np.linalg.svd(fx, full_matrices=False)
-    sv = np.maximum(sv - tau, 0.0)
-    return _from_spectral_stack((fu * sv[:, None, :]) @ fvh, x.shape[2])
+    for i in range(fx.shape[0]):
+        u, sv, vh = _slice_svd(fx, i, n3)
+        k = int(np.count_nonzero(sv > tau))
+        # only the k triplets above the threshold survive; the slice is
+        # rebuilt in place so that one slice's factors are alive at a time
+        fx[i] = (u[:, :k] * (sv[:k] - tau)) @ vh[:k]
+    return _from_spectral_stack(fx, n3)
 
 
 def trace_bound_check(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:

@@ -115,6 +115,20 @@ def test_divergence_exit_code_keeps_partial_report(tmp_path, monkeypatch):
     assert rows[0][0] == str(a)
 
 
+def test_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
+    img = tmp_path / "a.pgm"
+    _write_image(img, shape=(6, 6, 1))
+
+    def unsolvable(m, omega, cfg):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "srtd_complete", unsolvable)
+    rc = cli.main(["complete", "--input", str(img), "--sr", "0.5", "--rank", "2",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 5
+    assert capsys.readouterr().err == "srtd: numerical error: SVD did not converge\n"
+
+
 def test_config_file_merge_and_flag_precedence(tmp_path):
     img_path = tmp_path / "toy.ppm"
     _write_image(img_path)

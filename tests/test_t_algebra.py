@@ -1,10 +1,19 @@
 """t-product algebra: product vs block-circulant oracle, T-SVD invariants,
 tubal rank, nuclear norms, SVT, and the trace inequality used by the solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import srtd
 from srtd.errors import DimensionError, ParameterError
+from srtd.solver import truncate_factors
 from srtd.t_algebra import (
     svt,
     tnn,
@@ -13,6 +22,7 @@ from srtd.t_algebra import (
     trace_bound_check,
     trace_pair,
     tsvd,
+    tsvd_leading,
     ttnn,
     tubal_rank,
 )
@@ -29,6 +39,24 @@ from srtd.tensor_core import (
 
 def _tproduct_oracle(a, b):
     return fold(bcirc(a) @ unfold(b), (a.shape[0], b.shape[1], a.shape[2]))
+
+
+def _svt_oracle(x, tau):
+    """SVT as one batched complex SVD over the rfft slices, every triplet
+    kept with its shrunk singular value."""
+    fx = np.moveaxis(np.fft.rfft(x, axis=2), 2, 0)
+    fu, sv, fvh = np.linalg.svd(fx, full_matrices=False)
+    sv = np.maximum(sv - tau, 0.0)
+    return np.fft.irfft(np.moveaxis((fu * sv[:, None, :]) @ fvh, 0, 2), n=x.shape[2], axis=2)
+
+
+def _w_gradient(u_r, v_r):
+    """The solver's W-gradient tproduct(ttranspose(a_k), b_k) for
+    a_k = ttranspose(u_r) and b_k = ttranspose(v_r)."""
+    return tproduct(u_r, ttranspose(v_r))
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def test_tproduct_single_slice_is_matmul():
@@ -221,6 +249,17 @@ def test_svt_rejects_negative_threshold():
         svt(np.zeros((2, 2, 2)), -0.5)
 
 
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
+@_PROPERTY
+@given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.0, 1.0))
+def test_svt_matches_batched_oracle(n3, n1, n2, seed, frac):
+    x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    for tau in (0.0, frac * smax, 1.01 * smax):
+        assert fro_norm(svt(x, tau) - _svt_oracle(x, tau)) <= 1e-10 * fro_norm(x)
+
+
 def test_svt_non_expansive():
     rng = np.random.default_rng(15)
     for _ in range(25):
@@ -269,3 +308,60 @@ def test_trace_bound_shape_errors():
         trace_bound_check(np.ones(3), np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(DimensionError):
         trace_bound_check(np.ones((3, 4)), np.zeros((1, 3)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5])
+@_PROPERTY
+@given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_tsvd_leading_gives_the_truncated_tsvd_gradient(n3, n1, n2, seed, data):
+    # the W-gradient does not depend on the phase of the singular vectors,
+    # so it must agree with the full T-SVD route to rounding
+    r = data.draw(st.integers(1, min(n1, n2)), label="r")
+    x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+    u_r, v_r = tsvd_leading(x, r)
+    assert u_r.shape == (n1, r, n3) and v_r.shape == (n2, r, n3)
+    a_k, b_k = truncate_factors(tsvd(x), r)
+    reference = tproduct(ttranspose(a_k), b_k)
+    assert fro_norm(_w_gradient(u_r, v_r) - reference) <= 1e-9 * fro_norm(reference)
+
+
+def test_tsvd_leading_rank_check():
+    x = np.zeros((3, 4, 2))
+    with pytest.raises(ParameterError):
+        tsvd_leading(x, 0)
+    with pytest.raises(ParameterError):
+        tsvd_leading(x, 4)
+
+
+@pytest.mark.parametrize("routine", [
+    lambda x: svt(x, 0.5),
+    lambda x: tsvd(x).s,
+    lambda x: _w_gradient(*tsvd_leading(x, 2)),
+], ids=["svt", "tsvd", "tsvd_leading"])
+def test_slice_svd_falls_back_to_gesvd(monkeypatch, routine):
+    x = np.random.default_rng(18).standard_normal((5, 4, 4))
+    expected = routine(x)
+    gesdd = np.linalg.svd
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return gesdd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    got = routine(x)
+    assert len(calls) == 3  # three rfft slices, the first one retried by gesvd
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_import_defers_scipy_linalg():
+    # scipy.linalg is only needed for the gesvd retry; importing it up
+    # front would add to the start-up of every srtd process
+    code = "import sys, srtd.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
