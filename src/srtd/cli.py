@@ -232,15 +232,19 @@ def _stem(path: str) -> str:
     return os.path.splitext(base)[0] or "frames"
 
 
+def _load_mask_file(path: str, shape):
+    """The mask stored in the image at ``path``, repeated to ``shape``'s depth."""
+    omega = mask_from_image(path, depth=shape[2])
+    if omega.shape != tuple(shape):
+        raise DimensionError(
+            f"mask {path} is {omega.shape[0]}x{omega.shape[1]}, input is {shape[0]}x{shape[1]}")
+    return omega
+
+
 def _build_mask(spec: ExperimentSpec, shape, sr=None):
     """Mask plus its report identifier. ``sr`` overrides spec.sr (sr sweeps)."""
     if spec.mask_file is not None:
-        omega = mask_from_image(spec.mask_file, depth=shape[2])
-        if omega.shape != tuple(shape):
-            raise DimensionError(
-                f"mask {spec.mask_file} is {omega.shape[0]}x{omega.shape[1]}, "
-                f"input is {shape[0]}x{shape[1]}")
-        return omega, f"file:{spec.mask_file}"
+        return _load_mask_file(spec.mask_file, shape), f"file:{spec.mask_file}"
     rate = spec.sr if sr is None else sr
     if rate is None:
         raise ParameterError("either --mask-file or --sr is required")
@@ -429,11 +433,7 @@ def _cmd_psnr(merged: dict) -> int:
         raise DimensionError(f"shape mismatch: {x.shape} vs {ref.shape}")
     omega = None
     if merged["mask_file"] is not None:
-        omega = mask_from_image(merged["mask_file"], depth=ref.shape[2])
-        if omega.shape != ref.shape:
-            raise DimensionError(
-                f"mask {merged['mask_file']} is {omega.shape[0]}x{omega.shape[1]}, "
-                f"input is {ref.shape[0]}x{ref.shape[1]}")
+        omega = _load_mask_file(merged["mask_file"], ref.shape)
     elif merged["sr"] is not None:
         omega = random_mask(ref.shape, merged["sr"], merged["seed"])
     mode = merged["psnr_mode"]

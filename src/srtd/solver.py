@@ -116,8 +116,11 @@ class SolveReport:
 
 
 def soft_threshold(x, tau):
-    """sgn(x)·max(|x|−tau, 0), elementwise; the ℓ1 proximal operator."""
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    """sgn(x)·max(|x|−tau, 0), elementwise; the ℓ1 proximal operator.
+
+    Computed as x − clip(x, −tau, tau), which has the same values in fewer
+    passes; only the sign of a zero result can differ."""
+    return x - np.clip(x, -tau, tau)
 
 
 def truncate_factors(f: TSvdFactors, r: int):

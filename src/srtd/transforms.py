@@ -6,12 +6,24 @@ spectrum is the plain sum of the frontal slices. The DCT is the separable
 orthonormal DCT-II over all three modes with the DCT-III inverse; it is
 unitary, which the solver relies on to move least-squares terms between the
 pixel and coefficient domains.
+
+The DCT needs numpy only and runs one mode at a time. A mode of at most
+``MATRIX_MAX_N`` entries is multiplied by a cached orthonormal DCT matrix.
+A longer mode takes Makhoul's route (J. Makhoul, "A fast cosine transform in
+one and two dimensions", IEEE TASSP 28(1), 1980): reorder the tube to its
+even entries followed by its odd entries reversed, take a real FFT, and
+rotate coefficient k by exp(-i pi k / 2n). Coefficient k is then the real
+part and coefficient n - k minus the imaginary part of the same rotated
+value. The inverse runs that route backwards through ``irfft``. Each mode
+is transformed slab by slab into the result array, so the result is the
+only full-size allocation and the work buffers stay in cache.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.fft
 
 from .errors import DimensionError, SpectralConsistencyError
 from .tensor_core import Tensor3, astensor3
@@ -19,6 +31,17 @@ from .tensor_core import Tensor3, astensor3
 # Largest imaginary magnitude tolerated when inverting a spectrum that is
 # supposed to come from a real tensor; anything above signals an upstream bug.
 IMAG_RESIDUE_LIMIT = 1e-9
+
+# Longest mode that takes the DCT-matrix kernel; longer modes take the FFT
+# route. Timed on one core with one OpenBLAS thread, on ~110k-entry tensors
+# with the mode in each of the three positions, the matrix kernel was 12-48%
+# faster at 112-128, within 12% at 144-176 and 39-67% slower at 256.
+MATRIX_MAX_N = 128
+
+# Entries per slab. Each mode is transformed slab by slab in place, so the
+# work buffers stay in cache (256 KiB at 2^15 entries) and no second
+# full-size array is allocated; 2^13 and 2^16 were slower on 256x256x3.
+SLAB_ENTRIES = 1 << 15
 
 SpectralTensor3 = np.ndarray
 
@@ -48,11 +71,116 @@ def idft_mode3(s: SpectralTensor3) -> Tensor3:
     return t.real.copy()
 
 
+@functools.lru_cache(maxsize=64)
+def _dct_matrix(n: int) -> np.ndarray:
+    """Read-only orthonormal DCT-II matrix, C[k, j] = s_k cos(pi k (2j+1) / 2n).
+
+    The angle is reduced exactly, k(2j+1) mod 4n, before the cosine: the
+    cosine of the raw argument, up to about pi n / 2, is off by ~1e-13."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    c = np.cos(np.pi * ((k * (2 * j + 1)) % (4 * n)) / (2 * n))
+    c[0] *= np.sqrt(1.0 / n)
+    c[1:] *= np.sqrt(2.0 / n)
+    c.flags.writeable = False
+    return c
+
+
+@functools.lru_cache(maxsize=64)
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rotations s_k exp(-i pi k / 2n), k = 0..n//2, with the
+    orthonormal scale s_k folded in, and their reciprocals."""
+    t = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    t[0] = np.sqrt(1.0 / n)
+    inv = 1.0 / t
+    t.flags.writeable = inv.flags.writeable = False
+    return t, inv
+
+
+def _slabs(shape, axis: int):
+    """Index tuples that cut an array of ``shape`` into slabs of about
+    ``SLAB_ENTRIES`` entries along its first axis other than ``axis``, so
+    each slab holds whole tubes of ``axis``."""
+    cut = 1 if axis == 0 else 0
+    step = max(1, SLAB_ENTRIES * shape[cut] // max(1, np.prod(shape)))
+    for lo in range(0, shape[cut], step):
+        yield (slice(None),) * cut + (slice(lo, lo + step),)
+
+
+def _matrix_mode(src, dst, c, axis: int) -> None:
+    """dst = c applied along ``axis`` of src, slab by slab; dst may be src."""
+    n = src.shape[axis]
+    for sl in _slabs(src.shape, axis):
+        s = src[sl]
+        if axis == 0:
+            out = c @ s.reshape(n, -1)
+        elif axis == 1:
+            out = np.matmul(c, s)
+        else:
+            out = s.reshape(-1, n) @ c.T
+        dst[sl] = out.reshape(s.shape)
+
+
+def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
+    """dst = orthonormal DCT-II (DCT-III if ``inverse``) of src along
+    ``axis`` by Makhoul's route, slab by slab; dst may be src.
+
+    Within a slab the reordered tubes are stored along the first axis for
+    mode 1 and along the last axis for modes 2 and 3, where the FFT then
+    runs over contiguous memory."""
+    n = src.shape[axis]
+    h, m = (n + 1) // 2, n // 2
+    fft_axis = 0 if axis == 0 else -1
+    t = _twiddles(n)[inverse]
+    t = t if fft_axis else t.reshape(-1, 1, 1)
+    for sl in _slabs(src.shape, axis):
+        sv, dv = np.moveaxis(src[sl], axis, 0), np.moveaxis(dst[sl], axis, 0)
+        shape = list(sv.shape[1:] + (n,) if fft_axis else sv.shape)
+        if inverse:
+            shape[fft_axis] = m + 1
+            w = np.empty(shape, np.complex128)
+            wv = np.moveaxis(w, fft_axis, 0)
+            wv.real = sv[:m + 1]
+            wv.imag[0] = 0.0
+            np.negative(sv[n - 1:n - m - 1:-1], out=wv.imag[1:])
+            w *= t
+            tv = np.moveaxis(np.fft.irfft(w, n=n, axis=fft_axis), fft_axis, 0)
+            dv[0::2] = tv[:h]
+            dv[1::2] = tv[h:][::-1]
+        else:
+            tmp = np.empty(shape)
+            tv = np.moveaxis(tmp, fft_axis, 0)
+            tv[:h] = sv[0::2]
+            tv[h:] = sv[1::2][::-1]
+            w = np.fft.rfft(tmp, axis=fft_axis)
+            w *= t
+            wv = np.moveaxis(w, fft_axis, 0)
+            dv[:m + 1] = wv.real
+            np.negative(wv.imag[h - 1:0:-1], out=dv[m + 1:])
+
+
+def _dct3(a, inverse: bool) -> Tensor3:
+    a = astensor3(a)
+    out = np.empty(a.shape)
+    if out.size == 0:
+        return out
+    src = a
+    for axis in (2, 1, 0):
+        n = a.shape[axis]
+        if n <= MATRIX_MAX_N:
+            c = _dct_matrix(n)
+            _matrix_mode(src, out, c.T if inverse else c, axis)
+        else:
+            _fft_mode(src, out, axis, inverse)
+        src = out
+    return out
+
+
 def dct3(a: Tensor3) -> Tensor3:
     """Orthonormal DCT-II along modes 1, 2, 3 (the sparsifying transform)."""
-    return scipy.fft.dctn(astensor3(a), type=2, norm="ortho")
+    return _dct3(a, inverse=False)
 
 
 def idct3(e: Tensor3) -> Tensor3:
     """Inverse of :func:`dct3`."""
-    return scipy.fft.idctn(astensor3(e), type=2, norm="ortho")
+    return _dct3(e, inverse=True)

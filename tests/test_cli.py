@@ -313,3 +313,16 @@ def test_mask_file_dim_mismatch(tmp_path):
     rc = cli.main(["complete", "--input", str(img_path), "--mask-file", str(mask_path),
                    "--rank", "2", "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["complete", "psnr"])
+def test_mask_file_dim_mismatch_message(tmp_path, capsys, command):
+    img_path = tmp_path / "toy.pgm"
+    _write_image(img_path, shape=(6, 6, 1))
+    mask_path = tmp_path / "mask.pgm"
+    save_image(np.zeros((3, 3, 1)), mask_path)
+    extra = (["--rank", "2", "--out", str(tmp_path / "o")] if command == "complete"
+             else ["--ref", str(img_path), "--psnr-mode", "paper"])
+    rc = cli.main([command, "--input", str(img_path), "--mask-file", str(mask_path)] + extra)
+    assert rc == 2
+    assert capsys.readouterr().err == f"srtd: error: mask {mask_path} is 3x3, input is 6x6\n"

@@ -83,6 +83,22 @@ def test_soft_threshold_elementwise():
     assert np.allclose(out, oracle, atol=1e-15)
 
 
+def _soft_threshold_sign_form(x, tau):
+    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-3, 0.4, 2.5, 1e3])
+def test_soft_threshold_equals_sign_form(tau):
+    # the clip form has the same values as sgn(x)·max(|x|−tau, 0); only
+    # the sign of a zero may differ, which == ignores
+    rng = np.random.default_rng(int(tau * 1000))
+    x = rng.standard_normal((7, 6, 5)) * 3.0
+    x[0, 0, :] = [tau, -tau, 0.0, -0.0, np.nextafter(tau, np.inf)]
+    assert np.array_equal(soft_threshold(x, tau), _soft_threshold_sign_form(x, tau))
+    for v in (1.2, -0.3, -1.1, 0.8, tau, -tau):
+        assert soft_threshold(v, tau) == _soft_threshold_sign_form(v, tau)
+
+
 def test_truncate_factors_identity_case():
     f = tsvd(identity_tensor(3, 2))
     a_k, b_k = truncate_factors(f, 3)

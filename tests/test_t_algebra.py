@@ -358,10 +358,18 @@ def test_slice_svd_falls_back_to_gesvd(monkeypatch, routine):
 
 
 def test_import_defers_scipy_linalg():
-    # scipy.linalg is only needed for the gesvd retry; importing it up
-    # front would add to the start-up of every srtd process
-    code = "import sys, srtd.cli; print('scipy.linalg' in sys.modules)"
+    # no scipy module is loaded by importing srtd or solving: scipy.linalg is
+    # needed only for the gesvd retry, and any scipy import would add to the
+    # start-up of every srtd process. The solve has lam > 0 and a 130-long
+    # mode, so both DCT kernels and every ADMM update run.
+    code = (
+        "import sys, numpy as np, srtd, srtd.cli\n"
+        "m = np.random.default_rng(0).random((130, 3, 2))\n"
+        "omega = np.random.default_rng(1).random(m.shape) < 0.5\n"
+        "srtd.srtd_complete(m * omega, omega, srtd.SolverConfig(r=1, lam=0.1, max_outer=2))\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

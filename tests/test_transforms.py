@@ -3,10 +3,17 @@ transform-matrix oracles built independently of any FFT library."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srtd.errors import DimensionError, SpectralConsistencyError
 from srtd.tensor_core import fro_norm, inner_product
-from srtd.transforms import dct3, dft_mode3, idct3, idft_mode3
+from srtd.transforms import MATRIX_MAX_N, dct3, dft_mode3, idct3, idft_mode3
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+# Mode lengths on both sides of the matrix/FFT crossover, of both parities.
+_MODE_LENGTHS = (1, 2, 3, 63, 64, 65, 66, 127, 128, 129, 130, 256)
 
 
 def _dft_matrix(n):
@@ -153,3 +160,64 @@ def test_dct_roundtrips_both_ways():
 def test_dct_rejects_non_third_order():
     with pytest.raises(DimensionError):
         dct3(np.zeros((4, 4)))
+
+
+def test_mode_lengths_straddle_the_kernel_crossover():
+    # the FFT route is only reached by modes longer than MATRIX_MAX_N, so the
+    # property tests below must draw odd and even lengths on both sides
+    assert {MATRIX_MAX_N, MATRIX_MAX_N + 1} <= set(_MODE_LENGTHS)
+    for side in (lambda n: n <= MATRIX_MAX_N, lambda n: n > MATRIX_MAX_N):
+        assert {n % 2 for n in _MODE_LENGTHS if side(n)} == {0, 1}
+
+
+def _separable_oracle(a, inverse=False):
+    # the oracle matrix applied along each mode in turn by plain products
+    c1, c2, c3 = (_dct_matrix(n).T if inverse else _dct_matrix(n) for n in a.shape)
+    return np.matmul(c2, np.tensordot(c1, a, axes=(1, 0))) @ c3.T
+
+
+@_PROPERTY
+@given(n=st.sampled_from(_MODE_LENGTHS), axis=st.integers(0, 2),
+       rest=st.tuples(st.integers(1, 4), st.integers(1, 4)), seed=st.integers(0, 2**32 - 1))
+def test_dct_pair_matches_matrix_oracle_on_any_mode_length(n, axis, rest, seed):
+    # one mode of any tested length, in any position, the other two short
+    shape = list(rest)
+    shape.insert(axis, n)
+    a = np.random.default_rng(seed).standard_normal(shape)
+    scale = fro_norm(a)
+    assert fro_norm(dct3(a) - _separable_oracle(a)) <= 1e-12 * scale
+    assert fro_norm(idct3(a) - _separable_oracle(a, inverse=True)) <= 1e-12 * scale
+    assert fro_norm(idct3(dct3(a)) - a) <= 1e-12 * scale
+    assert fro_norm(dct3(idct3(a)) - a) <= 1e-12 * scale
+
+
+@_PROPERTY
+@given(shape=st.tuples(*[st.sampled_from(_MODE_LENGTHS)] * 3).filter(
+    lambda s: np.prod(s) <= 300_000), seed=st.integers(0, 2**32 - 1))
+@example(shape=(256, 256, 3), seed=0)
+@example(shape=(129, 130, 3), seed=1)
+@example(shape=(3, 130, 256), seed=2)
+@example(shape=(65, 66, 63), seed=3)
+def test_dct_pair_matches_matrix_oracle_on_mixed_shapes(shape, seed):
+    # several long modes at once, so the kernels run after one another on
+    # the same buffer
+    a = np.random.default_rng(seed).standard_normal(shape)
+    scale = fro_norm(a)
+    assert fro_norm(dct3(a) - _separable_oracle(a)) <= 1e-12 * scale
+    assert fro_norm(idct3(dct3(a)) - a) <= 1e-12 * scale
+    assert fro_norm(dct3(idct3(a)) - a) <= 1e-12 * scale
+
+
+def test_dct_does_not_modify_its_input_and_accepts_views():
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((140, 9, 12))
+    view = base[::-1, 1:8, ::3]  # negative and non-unit strides
+    kept = base.copy()
+    for f in (dct3, idct3):
+        assert fro_norm(f(view) - f(np.ascontiguousarray(view))) <= 1e-12 * fro_norm(view)
+    assert np.array_equal(base, kept)
+
+
+def test_dct_of_empty_tensor_is_empty():
+    assert dct3(np.zeros((0, 3, 200))).shape == (0, 3, 200)
+    assert idct3(np.zeros((4, 0, 2))).shape == (4, 0, 2)
