@@ -97,28 +97,37 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, inv
 
 
-def _slabs(shape, axis: int):
-    """Index tuples that cut an array of ``shape`` into slabs of about
-    ``SLAB_ENTRIES`` entries along its first axis other than ``axis``, so
-    each slab holds whole tubes of ``axis``."""
+def _slabs(shape, axis: int) -> list:
+    """Slices that cut the first axis other than ``axis`` into slabs of
+    about ``SLAB_ENTRIES`` entries, each holding whole tubes of ``axis``."""
     cut = 1 if axis == 0 else 0
     step = max(1, SLAB_ENTRIES * shape[cut] // max(1, np.prod(shape)))
-    for lo in range(0, shape[cut], step):
-        yield (slice(None),) * cut + (slice(lo, lo + step),)
+    return [slice(lo, lo + step) for lo in range(0, shape[cut], step)]
+
+
+def _matmul_along(c, s, out, axis: int) -> None:
+    """out = c applied along ``axis`` of s, as one matrix product where the
+    mode is the first or last axis."""
+    n = s.shape[axis]
+    if axis == 0:
+        np.matmul(c, s.reshape(n, -1), out=out.reshape(n, -1))
+    elif axis == 1:
+        np.matmul(c, s, out=out)
+    else:
+        np.matmul(s.reshape(-1, n), c.T, out=out.reshape(-1, n))
 
 
 def _matrix_mode(src, dst, c, axis: int) -> None:
-    """dst = c applied along ``axis`` of src, slab by slab; dst may be src."""
-    n = src.shape[axis]
+    """dst = c applied along ``axis`` of src; when dst is src, slab by slab
+    through a slab-sized buffer."""
+    if src is not dst:
+        _matmul_along(c, src, dst, axis)
+        return
     for sl in _slabs(src.shape, axis):
-        s = src[sl]
-        if axis == 0:
-            out = c @ s.reshape(n, -1)
-        elif axis == 1:
-            out = np.matmul(c, s)
-        else:
-            out = s.reshape(-1, n) @ c.T
-        dst[sl] = out.reshape(s.shape)
+        s = src[:, sl] if axis == 0 else src[sl]
+        tmp = np.empty(s.shape)
+        _matmul_along(c, s, tmp, axis)
+        s[...] = tmp
 
 
 def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
@@ -130,31 +139,34 @@ def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
     runs over contiguous memory."""
     n = src.shape[axis]
     h, m = (n + 1) // 2, n // 2
-    fft_axis = 0 if axis == 0 else -1
+    last = axis != 0
     t = _twiddles(n)[inverse]
-    t = t if fft_axis else t.reshape(-1, 1, 1)
+    t = t if last else t.reshape(-1, 1, 1)
+    # tubes of ``axis`` along the first axis of these views, slabs along the second
+    sv_all, dv_all = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
+    rest = sv_all.shape[2]
     for sl in _slabs(src.shape, axis):
-        sv, dv = np.moveaxis(src[sl], axis, 0), np.moveaxis(dst[sl], axis, 0)
-        shape = list(sv.shape[1:] + (n,) if fft_axis else sv.shape)
+        sv, dv = sv_all[:, sl], dv_all[:, sl]
+        b = sv.shape[1]
         if inverse:
-            shape[fft_axis] = m + 1
-            w = np.empty(shape, np.complex128)
-            wv = np.moveaxis(w, fft_axis, 0)
+            w = np.empty((b, rest, m + 1) if last else (m + 1, b, rest), np.complex128)
+            wv = w.transpose(2, 0, 1) if last else w
             wv.real = sv[:m + 1]
             wv.imag[0] = 0.0
             np.negative(sv[n - 1:n - m - 1:-1], out=wv.imag[1:])
             w *= t
-            tv = np.moveaxis(np.fft.irfft(w, n=n, axis=fft_axis), fft_axis, 0)
+            tmp = np.fft.irfft(w, n=n, axis=-1 if last else 0)
+            tv = tmp.transpose(2, 0, 1) if last else tmp
             dv[0::2] = tv[:h]
             dv[1::2] = tv[h:][::-1]
         else:
-            tmp = np.empty(shape)
-            tv = np.moveaxis(tmp, fft_axis, 0)
+            tmp = np.empty((b, rest, n) if last else (n, b, rest))
+            tv = tmp.transpose(2, 0, 1) if last else tmp
             tv[:h] = sv[0::2]
             tv[h:] = sv[1::2][::-1]
-            w = np.fft.rfft(tmp, axis=fft_axis)
+            w = np.fft.rfft(tmp, axis=-1 if last else 0)
             w *= t
-            wv = np.moveaxis(w, fft_axis, 0)
+            wv = w.transpose(2, 0, 1) if last else w
             dv[:m + 1] = wv.real
             np.negative(wv.imag[h - 1:0:-1], out=dv[m + 1:])
 
