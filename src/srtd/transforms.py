@@ -38,9 +38,10 @@ IMAG_RESIDUE_LIMIT = 1e-9
 # faster at 112-128, within 12% at 144-176 and 39-67% slower at 256.
 MATRIX_MAX_N = 128
 
-# Entries per slab. Each mode is transformed slab by slab in place, so the
-# work buffers stay in cache (256 KiB at 2^15 entries) and no second
-# full-size array is allocated; 2^13 and 2^16 were slower on 256x256x3.
+# Entries per slab. Modes are transformed in place in the result, slab by
+# slab, so the work buffers stay in cache (256 KiB at 2^15 entries) and no
+# second full-size array is allocated; 2^13 and 2^16 were slower on
+# 256x256x3.
 SLAB_ENTRIES = 1 << 15
 
 SpectralTensor3 = np.ndarray
