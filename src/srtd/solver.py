@@ -132,8 +132,11 @@ def truncate_factors(f: TSvdFactors, r: int):
     return ttranspose(f.u[:, :r, :]), ttranspose(f.v[:, :r, :])
 
 
-def update_x(state: SolverState, cfg: SolverConfig) -> Tensor3:
-    avg = 0.5 * (state.w - state.y / state.mu + idct3(state.e + state.z / state.mu))
+def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
+    """X-update; ``back`` stands in for idct3(e + z/mu) when given."""
+    if back is None:
+        back = idct3(state.e + state.z / state.mu)
+    avg = 0.5 * (state.w - state.y / state.mu + back)
     return svt(avg, 1.0 / (2.0 * state.mu))
 
 
@@ -170,6 +173,11 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     x = w = m, e = z = 0, and y is seeded uniform [0,1). Stops when the
     iterate change passes cfg's inner test or max_inner is hit. Raises
     DivergenceError if an iterate goes non-finite.
+
+    With ``sparse_term=False`` the E/Z steps are skipped and the X-update's
+    idct3(e + z/mu) is taken to be the previous x, which is what it equals
+    after any sweep with lam = 0. The first sweep of a cold start still
+    computes it from e = z = 0.
     """
     m = astensor3(m, "m")
     omega = _check_mask(omega, m.shape)
@@ -180,25 +188,18 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
             e=np.zeros(m.shape), y=rng.random(m.shape), z=np.zeros(m.shape),
             mu=cfg.mu_init, a_k=a_k, b_k=b_k,
         )
-        # stand-in for idct3(e + z/mu) on the no-sparsity path; starts at 0
-        # to mirror the e = 0 initialization, then tracks x exactly
-        carrier = np.zeros(m.shape)
     else:
         state = warm
         state.a_k = a_k
         state.b_k = b_k
-        carrier = state.x
     state.inner_iter = 0
     grad = tproduct(ttranspose(a_k), b_k)
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
-        if sparse_term:
-            state.x = update_x(state, cfg)
-        else:
-            avg = 0.5 * (state.w - state.y / state.mu + carrier)
-            state.x = svt(avg, 1.0 / (2.0 * state.mu))
-            carrier = state.x
+        # only a cold start's first sweep reads e = z = 0 (see the docstring)
+        cold = warm is None and t == 1
+        state.x = update_x(state, cfg, None if sparse_term or cold else x_prev)
         if not np.isfinite(state.x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)

@@ -3,10 +3,12 @@ and the tensor singular value thresholding operator.
 
 Everything is computed in the mode-3 Fourier domain: a t-product is a
 matrix product per frequency slice, and the T-SVD is an SVD per frequency
-slice (complex, except on the slices that are exactly real). Real input has
-a conjugate-symmetric spectrum, so only the first ``n3 // 2 + 1`` slices are
-ever touched (rfft/irfft); results are identical to the full-spectrum route
-up to rounding.
+slice (complex, except on the slices that are exactly real). The SVT
+shrinks a slice through the eigendecomposition of its smaller Gram matrix
+when that is exact to rounding (``GRAM_COND``), and through the slice's
+SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
+first ``n3 // 2 + 1`` slices are ever touched (rfft/irfft); results are
+identical to the full-spectrum route up to rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from .errors import DimensionError, ParameterError
 from .tensor_core import Tensor3, astensor3
 
 _SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
+
+# Largest ||A||_F / tau for which svt shrinks slice A from its Gram matrix.
+# Squaring A squares its condition: the shrunk singular values carry an
+# error of about eps * sigma_1 / tau, so past this ratio the SVD is used.
+GRAM_COND = 1e4
 
 
 class TSvdFactors(NamedTuple):
@@ -49,17 +56,21 @@ def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
     return _from_spectral_stack(fc, a.shape[2])
 
 
-def _slice_svd(fa: np.ndarray, i: int, n3: int, full_matrices: bool = False):
-    """SVD of frequency slice ``i`` of the spectral stack ``fa`` of a real
-    tensor with ``n3`` frontal slices.
+def _slice(fa: np.ndarray, i: int, n3: int) -> np.ndarray:
+    """Frequency slice ``i`` of the spectral stack ``fa`` of a real tensor
+    with ``n3`` frontal slices.
 
     The zero-frequency slice, and the Nyquist slice when n3 is even, are
-    exactly real: they go through a real SVD, which is about twice as fast
-    and attaches no unit phases to the factors. If LAPACK's gesdd (numpy's
-    driver) does not converge, the slice is retried with gesvd, which is
-    slower but converges on slices where gesdd gives up.
+    exactly real and are returned as real matrices: real factorizations are
+    about twice as fast and attach no unit phases to the factors.
     """
-    m = fa[i].real if i == 0 or 2 * i == n3 else fa[i]
+    return fa[i].real if i == 0 or 2 * i == n3 else fa[i]
+
+
+def _slice_svd(m: np.ndarray, full_matrices: bool = False):
+    """SVD of the frequency slice ``m``. If LAPACK's gesdd (numpy's driver)
+    does not converge, the slice is retried with gesvd, which is slower but
+    converges on slices where gesdd gives up."""
     try:
         return np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
@@ -79,7 +90,7 @@ def tsvd(a: Tensor3) -> TSvdFactors:
     fv = np.empty((nf, n2, n2), dtype=np.complex128)
     k = np.arange(min(n1, n2))
     for i in range(nf):
-        u, sv, vh = _slice_svd(fa, i, n3, full_matrices=True)
+        u, sv, vh = _slice_svd(_slice(fa, i, n3), full_matrices=True)
         fu[i], fs[i, k, k], fv[i] = u, sv, vh.conj().T
     return TSvdFactors(
         u=_from_spectral_stack(fu, n3),
@@ -103,7 +114,7 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     fu = np.empty((nf, n1, r), dtype=np.complex128)
     fv = np.empty((nf, n2, r), dtype=np.complex128)
     for i in range(nf):
-        u, _, vh = _slice_svd(fa, i, n3)
+        u, _, vh = _slice_svd(_slice(fa, i, n3))
         fu[i], fv[i] = u[:, :r], vh[:r].conj().T
     return _from_spectral_stack(fu, n3), _from_spectral_stack(fv, n3)
 
@@ -158,6 +169,32 @@ def ttnn(a: Tensor3, r: int) -> float:
     return float(sv[r:].sum())
 
 
+def _gram_svt(m: np.ndarray, tau: float) -> np.ndarray | None:
+    """Singular value thresholding of the matrix ``m`` by ``tau`` from the
+    eigendecomposition of its smaller Gram matrix; None if eigh fails.
+
+    An eigenpair (lam, v) of G = m^H m with lam > tau^2 is a right singular
+    pair of m with sigma = sqrt(lam), and m v = sigma u, so the shrunk slice
+    sum (sigma - tau) u v^H is (m V_k) diag(1 - tau/sigma) V_k^H. A wide m
+    uses m m^H and its left singular vectors instead. No U is formed.
+    """
+    wide = m.shape[0] < m.shape[1]
+    mh = m.conj().T if np.iscomplexobj(m) else m.T
+    g = m @ mh if wide else mh @ m
+    del mh  # a copy of a complex m
+    try:
+        lam, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:
+        return None
+    del g  # not held through the rebuild, which allocates a slice-sized result
+    first = int(np.searchsorted(lam, tau * tau, side="right"))  # lam is ascending
+    vk = v[:, first:]
+    w = 1.0 - tau / np.sqrt(lam[first:])
+    if wide:
+        return (vk * w) @ (vk.conj().T @ m)
+    return (m @ vk) @ (w[:, None] * vk.conj().T)
+
+
 def svt(x: Tensor3, tau: float) -> Tensor3:
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
@@ -165,18 +202,33 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     This is the proximal operator of (tau/n3) * sum_f ||X_f||_*, the sum
     running over all n3 slices X_f of the mode-3 DFT of x. That equals
     ``tau * tnn`` only for n3 = 1.
+
+    Each rfft slice A is factored once. When tau > 0 and
+    ||A||_F <= GRAM_COND * tau, it is shrunk through ``eigh`` of the smaller
+    of A^H A and A A^H, keeping the eigenvalues above tau^2; that costs
+    less than an SVD (about half on a real slice) and is exact to about
+    eps * sigma_1 / tau. Otherwise, and whenever ``eigh`` fails, the
+    slice's SVD is used.
     """
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
     n3 = x.shape[2]
     fx = _spectral_stack(x)
+    gram_limit = (GRAM_COND * tau) ** 2
     for i in range(fx.shape[0]):
-        u, sv, vh = _slice_svd(fx, i, n3)
-        k = int(np.count_nonzero(sv > tau))
-        # only the k triplets above the threshold survive; the slice is
-        # rebuilt in place so that one slice's factors are alive at a time
-        fx[i] = (u[:, :k] * (sv[:k] - tau)) @ vh[:k]
+        m = _slice(fx, i, n3)
+        shrunk = None
+        if tau > 0 and np.vdot(m, m).real <= gram_limit:
+            shrunk = _gram_svt(m, tau)
+        if shrunk is None:
+            u, sv, vh = _slice_svd(m)
+            k = int(np.count_nonzero(sv > tau))
+            # only the k triplets above the threshold survive
+            shrunk = (u[:, :k] * (sv[:k] - tau)) @ vh[:k]
+        # the slice is rebuilt in place so that one slice's factors are
+        # alive at a time
+        fx[i] = shrunk
     return _from_spectral_stack(fx, n3)
 
 

@@ -360,6 +360,22 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
     assert calls["tproduct"] == 2 * outer + 1
 
 
+def test_no_sparse_term_matches_zero_lambda_over_many_sweeps():
+    # acceptance check 09 runs one sweep per call; here the no-sparsity
+    # path's back-term must follow the new x through cold and warm solves
+    g, omega = _low_rank_instance(22, 10, 2, 3, 0.6)
+    m_obs = apply_mask(g, omega)
+    a_k, b_k = truncate_factors(tsvd(m_obs), 2)
+    cfg = SolverConfig(r=2, lam=0.0, max_inner=15, eps_inner=1e-30, seed=22)
+    with_term = without_term = None
+    for _ in range(2):
+        with_term = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=with_term, sparse_term=True)
+        without_term = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=without_term,
+                                  sparse_term=False)
+        assert with_term.inner_iter == without_term.inner_iter == 15
+        assert fro_norm(with_term.x - without_term.x) <= 1e-12 * fro_norm(with_term.x)
+
+
 def test_complete_without_sparse_term():
     g, omega = _low_rank_instance(21, 10, 2, 3, 0.6)
     report = srtd_complete(g, omega, SolverConfig(r=2, lam=0.0, seed=21), sparse_term=False)

@@ -4,6 +4,7 @@ tubal rank, nuclear norms, SVT, and the trace inequality used by the solver."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srtd
+from srtd import t_algebra
 from srtd.errors import DimensionError, ParameterError
 from srtd.solver import truncate_factors
 from srtd.t_algebra import (
@@ -59,6 +61,16 @@ def _w_gradient(u_r, v_r):
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
+def _count_calls(monkeypatch, counts, *names):
+    """Replace each np.linalg routine in ``names`` by a wrapper that counts
+    its calls in ``counts``."""
+    for name in names:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+
 def test_tproduct_single_slice_is_matmul():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4, 1))
@@ -98,6 +110,20 @@ def test_tproduct_dim_errors():
         tproduct(np.zeros((2, 3, 4)), np.zeros((3, 2, 5)))
 
 
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
+@_PROPERTY
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6), n4=st.integers(1, 6), n5=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_tproduct_is_associative(n3, n1, n2, n4, n5, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n1, n2, n3))
+    b = rng.standard_normal((n2, n4, n3))
+    c = rng.standard_normal((n4, n5, n3))
+    lhs = tproduct(tproduct(a, b), c)
+    rhs = tproduct(a, tproduct(b, c))
+    assert fro_norm(lhs - rhs) <= 1e-12 * fro_norm(a) * fro_norm(b) * fro_norm(c)
+
+
 def test_tsvd_of_identity():
     e = identity_tensor(3, 2)
     f = tsvd(e)
@@ -130,6 +156,21 @@ def test_tsvd_shapes_and_invariants():
         k = np.arange(min(n1, n2))
         off[k, k, :] = 0.0
         assert np.abs(off).max() <= 1e-9 * max(fro_norm(f.s), 1.0)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
+@_PROPERTY
+@given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_tsvd_reconstructs_its_input(n3, n1, n2, seed, data):
+    # a tubal rank below min(n1, n2) leaves zero singular values, whose
+    # singular vectors LAPACK picks freely; the product must still match
+    rank = data.draw(st.integers(1, min(n1, n2)), label="rank")
+    rng = np.random.default_rng(seed)
+    a = tproduct(rng.standard_normal((n1, rank, n3)), rng.standard_normal((rank, n2, n3)))
+    f = tsvd(a)
+    recon = tproduct(tproduct(f.u, f.s), ttranspose(f.v))
+    assert fro_norm(recon - a) <= 1e-9 * fro_norm(a)
 
 
 def test_tubal_rank_zero_tensor():
@@ -260,6 +301,67 @@ def test_svt_matches_batched_oracle(n3, n1, n2, seed, frac):
         assert fro_norm(svt(x, tau) - _svt_oracle(x, tau)) <= 1e-10 * fro_norm(x)
 
 
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
+@_PROPERTY
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       decades=st.floats(0.0, 8.0), level=st.floats(-9.0, 0.1))
+def test_svt_graded_spectra_match_the_oracle_on_both_branches(n3, n1, n2, seed, decades, level):
+    # column scales spread over up to 8 decades grade the singular values as
+    # widely. At tau = 1e-9 sigma_max the slice holding sigma_max fails the
+    # Gram guard and takes the SVD; above sigma_max every slice passes it
+    rng = np.random.default_rng(seed)
+    scales = np.logspace(0.0, -decades, n2)[rng.permutation(n2)]
+    x = rng.standard_normal((n1, n2, n3)) * scales[None, :, None]
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    taus = (1e-9 * smax, 10.0 ** level * smax, 1.01 * smax)
+    oracles = [_svt_oracle(x, tau) for tau in taus]
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, counts, "eigh", "svd")
+        for tau, oracle in zip(taus, oracles):
+            assert fro_norm(svt(x, tau) - oracle) <= 1e-10 * fro_norm(x)
+    assert counts["eigh"] >= 1 and counts["svd"] >= 1
+
+
+def test_svt_falls_back_to_the_svd_when_eigh_fails(monkeypatch):
+    x = np.random.default_rng(19).standard_normal((5, 4, 4))
+    expected = _svt_oracle(x, 0.5)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_once)
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "svd")
+    got = svt(x, 0.5)
+    assert len(calls) == 3 and counts["svd"] == 1  # three rfft slices, the first one by SVD
+    assert fro_norm(got - expected) <= 1e-10 * fro_norm(x)
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 5), (4, 6, 4), (5, 5, 2)])
+def test_svt_factors_each_slice_once(monkeypatch, shape):
+    # a large tube-constant part lives in the zero-frequency slice only, so
+    # at tau = 1e-2 that slice fails the Gram guard and the others pass it
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal(shape) + 1e6 * rng.standard_normal(shape[:2])[:, :, None]
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    taus = (0.0, 1e-2, 0.3 * smax, 2.0 * smax)
+    oracles = [_svt_oracle(x, tau) for tau in taus]
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "eigh", "svd")
+    for tau, oracle in zip(taus, oracles):
+        counts.clear()
+        assert fro_norm(svt(x, tau) - oracle) <= 1e-10 * fro_norm(x)
+        assert counts["eigh"] + counts["svd"] == shape[2] // 2 + 1
+        if tau == 1e-2:
+            assert counts["svd"] == 1
+
+
 def test_svt_non_expansive():
     rng = np.random.default_rng(15)
     for _ in range(25):
@@ -340,6 +442,7 @@ def test_tsvd_leading_rank_check():
     lambda x: _w_gradient(*tsvd_leading(x, 2)),
 ], ids=["svt", "tsvd", "tsvd_leading"])
 def test_slice_svd_falls_back_to_gesvd(monkeypatch, routine):
+    monkeypatch.setattr(t_algebra, "GRAM_COND", 0.0)  # svt shrinks every slice by SVD
     x = np.random.default_rng(18).standard_normal((5, 4, 4))
     expected = routine(x)
     gesdd = np.linalg.svd
