@@ -6,34 +6,11 @@ from .errors import (
     DivergenceError,
     FormatError,
     ParameterError,
-    SpectralConsistencyError,
     SrtdError,
 )
-from .tensor_core import (
-    Tensor3,
-    bcirc,
-    fold,
-    fro_norm,
-    identity_tensor,
-    inner_product,
-    l1_norm,
-    ttrace,
-    ttranspose,
-    unfold,
-)
-from .transforms import dct3, dft_mode3, idct3, idft_mode3
-from .t_algebra import (
-    TSvdFactors,
-    svt,
-    tnn,
-    tnn_via_tsvd,
-    tproduct,
-    trace_bound_check,
-    trace_pair,
-    tsvd,
-    ttnn,
-    tubal_rank,
-)
+from .tensor_core import Tensor3, fro_norm, l1_norm, ttranspose
+from .transforms import dct3, idct3
+from .t_algebra import svt, tnn, tproduct, trace_pair
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -41,7 +18,6 @@ from .solver import (
     admm_solve,
     soft_threshold,
     srtd_complete,
-    truncate_factors,
 )
 from .evalkit import (
     ObservationMask,
@@ -56,16 +32,13 @@ from .pnm import load_image, load_video, save_image
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor3", "TSvdFactors", "ObservationMask",
+    "Tensor3", "ObservationMask",
     "SolverConfig", "SolverState", "SolveReport",
-    "SrtdError", "DimensionError", "ParameterError", "FormatError",
-    "SpectralConsistencyError", "DivergenceError",
-    "unfold", "fold", "bcirc", "ttranspose", "identity_tensor",
-    "fro_norm", "l1_norm", "inner_product", "ttrace",
-    "dft_mode3", "idft_mode3", "dct3", "idct3",
-    "tproduct", "tsvd", "tubal_rank", "tnn", "tnn_via_tsvd",
-    "trace_pair", "ttnn", "svt", "trace_bound_check",
-    "soft_threshold", "truncate_factors", "admm_solve", "srtd_complete",
+    "SrtdError", "DimensionError", "ParameterError", "FormatError", "DivergenceError",
+    "ttranspose", "fro_norm", "l1_norm",
+    "dct3", "idct3",
+    "tproduct", "tnn", "trace_pair", "svt",
+    "soft_threshold", "admm_solve", "srtd_complete",
     "random_mask", "mask_from_image", "sampling_rate", "apply_mask", "psnr",
     "load_image", "save_image", "load_video",
     "__version__",

@@ -327,7 +327,7 @@ def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
     values = list(values)
     if axis == "rank":
         for v in values:
-            if float(v) != int(v):
+            if not float(v).is_integer():  # False for nan and inf too
                 raise ParameterError(f"rank values must be integers, got {v}")
     os.makedirs(spec.out, exist_ok=True)
 

@@ -17,10 +17,6 @@ class FormatError(SrtdError, ValueError):
     """A file does not conform to the expected on-disk format."""
 
 
-class SpectralConsistencyError(SrtdError, ArithmeticError):
-    """A spectrum that should correspond to a real tensor does not."""
-
-
 class DivergenceError(SrtdError, RuntimeError):
     """The solver produced a non-finite iterate."""
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
-from .t_algebra import TSvdFactors, svt, tnn, tproduct, trace_pair, tsvd_leading
+from .t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
 from .tensor_core import Tensor3, astensor3, fro_norm, l1_norm, ttranspose
 from .transforms import dct3, idct3
 
@@ -62,13 +62,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ParameterError(f"truncation rank r must be >= 1, got {self.r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ParameterError(f"lam must be >= 0, got {self.lam}")
         if not self.rho > 1:
             raise ParameterError(f"rho must be > 1, got {self.rho}")
         if not self.mu_init > 0:
             raise ParameterError(f"mu_init must be > 0, got {self.mu_init}")
-        if self.mu_max < self.mu_init:
+        if not self.mu_max >= self.mu_init:
             raise ParameterError(f"mu_max must be >= mu_init, got {self.mu_max}")
         if not self.eps_outer > 0:
             raise ParameterError(f"eps_outer must be > 0, got {self.eps_outer}")
@@ -87,7 +87,7 @@ class SolverConfig:
 @dataclass
 class SolverState:
     """Mutable iterate bundle for one solve. ``e`` and ``z`` live in the
-    DCT domain; ``a_k``/``b_k`` are the current truncated factors."""
+    DCT domain."""
 
     x: Tensor3
     w: Tensor3
@@ -95,8 +95,6 @@ class SolverState:
     y: Tensor3
     z: Tensor3
     mu: float
-    a_k: Tensor3
-    b_k: Tensor3
     inner_iter: int = 0
     outer_iter: int = 0
 
@@ -121,15 +119,6 @@ def soft_threshold(x, tau):
     Computed as x − clip(x, −tau, tau), which has the same values in fewer
     passes; only the sign of a zero result can differ."""
     return x - np.clip(x, -tau, tau)
-
-
-def truncate_factors(f: TSvdFactors, r: int):
-    """First r lateral slices of u and v, t-transposed: a_k is (r,n1,n3),
-    b_k is (r,n2,n3), both row-orthogonal in the t-product sense."""
-    kmax = min(f.u.shape[0], f.v.shape[0])
-    if not 1 <= r <= kmax:
-        raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
-    return ttranspose(f.u[:, :r, :]), ttranspose(f.v[:, :r, :])
 
 
 def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
@@ -186,12 +175,10 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         state = SolverState(
             x=m.copy(), w=m.copy(),
             e=np.zeros(m.shape), y=rng.random(m.shape), z=np.zeros(m.shape),
-            mu=cfg.mu_init, a_k=a_k, b_k=b_k,
+            mu=cfg.mu_init,
         )
     else:
         state = warm
-        state.a_k = a_k
-        state.b_k = b_k
     state.inner_iter = 0
     grad = tproduct(ttranspose(a_k), b_k)
 
@@ -278,7 +265,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
         if delta <= cfg.eps_outer:
             break
 
-    trace.append(_surrogate(x_cur, state.a_k, state.b_k, cfg.lam))
+    trace.append(_surrogate(x_cur, a_k, b_k, cfg.lam))
     recovered = np.where(omega, m, state.x)
     # without the sparsity term there is no E-constraint, so its gap is 0
     e_gap = fro_norm(state.e - dct3(state.x)) if sparse_term else 0.0

@@ -1,5 +1,6 @@
-"""t-product algebra: tensor-tensor product, T-SVD, tubal rank, nuclear norms
-and the tensor singular value thresholding operator.
+"""t-product algebra: tensor-tensor product, the leading T-SVD factors, the
+nuclear norm and trace terms of the objective, and the tensor singular
+value thresholding operator.
 
 Everything is computed in the mode-3 Fourier domain: a t-product is a
 matrix product per frequency slice, and the T-SVD is an SVD per frequency
@@ -7,34 +8,22 @@ slice (complex, except on the slices that are exactly real). The SVT
 shrinks a slice through the eigendecomposition of its smaller Gram matrix
 when that is exact to rounding (``GRAM_COND``), and through the slice's
 SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
-first ``n3 // 2 + 1`` slices are ever touched (rfft/irfft); results are
-identical to the full-spectrum route up to rounding.
+first ``n3 // 2 + 1`` slices are ever touched: ``_spectral_stack`` and
+``_from_spectral_stack`` (rfft/irfft) are the library's only mode-3 DFT
+pair, and results are identical to the full-spectrum route up to rounding.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .tensor_core import Tensor3, astensor3
 
-_SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
-
 # Largest ||A||_F / tau for which svt shrinks slice A from its Gram matrix.
 # Squaring A squares its condition: the shrunk singular values carry an
 # error of about eps * sigma_1 / tau, so past this ratio the SVD is used.
 GRAM_COND = 1e4
-
-
-class TSvdFactors(NamedTuple):
-    """T-SVD triple: ``u`` (n1,n1,n3) and ``v`` (n2,n2,n3) orthogonal,
-    ``s`` (n1,n2,n3) f-diagonal with non-increasing spectral singular values."""
-
-    u: Tensor3
-    s: Tensor3
-    v: Tensor3
 
 
 def _spectral_stack(a: Tensor3) -> np.ndarray:
@@ -79,30 +68,10 @@ def _slice_svd(m: np.ndarray, full_matrices: bool = False):
         return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
-def tsvd(a: Tensor3) -> TSvdFactors:
-    """Factor ``a`` as u * s * ttranspose(v) via one SVD per frequency slice."""
-    a = astensor3(a)
-    n1, n2, n3 = a.shape
-    fa = _spectral_stack(a)
-    nf = fa.shape[0]
-    fu = np.empty((nf, n1, n1), dtype=np.complex128)
-    fs = np.zeros(fa.shape, dtype=np.complex128)
-    fv = np.empty((nf, n2, n2), dtype=np.complex128)
-    k = np.arange(min(n1, n2))
-    for i in range(nf):
-        u, sv, vh = _slice_svd(_slice(fa, i, n3), full_matrices=True)
-        fu[i], fs[i, k, k], fv[i] = u, sv, vh.conj().T
-    return TSvdFactors(
-        u=_from_spectral_stack(fu, n3),
-        s=_from_spectral_stack(fs, n3),
-        v=_from_spectral_stack(fv, n3),
-    )
-
-
 def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     """The first ``r`` lateral slices of the T-SVD factors u (n1,r,n3) and
     v (n2,r,n3) of ``a``, without s and without the trailing singular
-    vectors. Equal to ``tsvd(a).u[:, :r, :]`` and ``tsvd(a).v[:, :r, :]``
+    vectors. Equal to ``u[:, :r, :]`` and ``v[:, :r, :]`` of the full T-SVD
     up to the phase of each singular vector pair."""
     a = astensor3(a)
     n1, n2, n3 = a.shape
@@ -119,31 +88,11 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     return _from_spectral_stack(fu, n3), _from_spectral_stack(fv, n3)
 
 
-def tubal_rank(a: Tensor3, tol: float = 1e-8) -> int:
-    """Largest count, over frequency slices, of singular values above
-    ``tol`` times the globally largest singular value."""
-    a = astensor3(a)
-    if tol < 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
-    sv = np.linalg.svd(_spectral_stack(a), compute_uv=False)
-    top = sv.max(initial=0.0)
-    if top == 0.0:
-        return 0
-    return int((sv > tol * top).sum(axis=1).max())
-
-
 def tnn(a: Tensor3) -> float:
     """Tensor nuclear norm, fast path: nuclear norm of the zero-frequency
     slice (which for a real tensor is just the sum of the frontal slices)."""
     a = astensor3(a)
     return float(np.linalg.svd(a.sum(axis=2), compute_uv=False).sum())
-
-
-def tnn_via_tsvd(a: Tensor3) -> float:
-    """Tensor nuclear norm, slow path: trace of the T-SVD core summed over
-    its frontal slices. Kept as an independent oracle for :func:`tnn`."""
-    s = tsvd(a).s
-    return float(np.trace(s, axis1=0, axis2=1).sum())
 
 
 def trace_pair(a: Tensor3, b: Tensor3) -> float:
@@ -156,17 +105,6 @@ def trace_pair(a: Tensor3, b: Tensor3) -> float:
     if b.shape[1] != a.shape[0]:
         raise DimensionError(f"trace needs square product slices, got {a.shape} by {b.shape}")
     return float(np.sum(a.sum(axis=2) * b.sum(axis=2).T))
-
-
-def ttnn(a: Tensor3, r: int) -> float:
-    """Truncated tensor nuclear norm: singular values of the zero-frequency
-    slice beyond the first ``r``."""
-    a = astensor3(a)
-    kmax = min(a.shape[0], a.shape[1])
-    if not 0 <= r <= kmax:
-        raise ParameterError(f"truncation r must lie in [0, {kmax}], got {r}")
-    sv = np.linalg.svd(a.sum(axis=2), compute_uv=False)
-    return float(sv[r:].sum())
 
 
 def _gram_svt(m: np.ndarray, tau: float) -> np.ndarray | None:
@@ -231,28 +169,3 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
         fx[i] = shrunk
     return _from_spectral_stack(fx, n3)
 
-
-def trace_bound_check(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether tr(a x b^T) <= sum of the r largest singular values of x
-    (plus 1e-8 slack), for row-orthonormal a (r x m) and b (r x n).
-
-    Test-support only; raises :class:`ParameterError` when a or b is not
-    row-orthonormal to 1e-9.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if x.ndim != 2 or a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("trace_bound_check operates on matrices")
-    r = a.shape[0]
-    if b.shape[0] != r or a.shape[1] != x.shape[0] or b.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"shape mismatch: x {x.shape} needs a (r,{x.shape[0]}) and b (r,{x.shape[1]}), "
-            f"got {a.shape} and {b.shape}"
-        )
-    for name, m in (("a", a), ("b", b)):
-        if r and np.abs(m @ m.T - np.eye(r)).max() > _SV_ATOL:
-            raise ParameterError(f"{name} is not row-orthonormal to {_SV_ATOL:.0e}")
-    lhs = float(np.trace(a @ x @ b.T))
-    sv = np.linalg.svd(x, compute_uv=False)
-    return lhs <= float(sv[:r].sum()) + 1e-8

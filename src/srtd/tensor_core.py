@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
-# The universal value types. Tensor3 is always real; Matrix may be complex
-# (e.g. frontal slices of a mode-3 spectrum).
+# The universal value type; always real.
 Tensor3 = np.ndarray
-Matrix = np.ndarray
 
 
 def astensor3(a, name: str = "tensor") -> Tensor3:
@@ -23,43 +21,6 @@ def astensor3(a, name: str = "tensor") -> Tensor3:
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 3:
         raise DimensionError(f"{name} must be a third-order tensor, got shape {out.shape}")
-    return out
-
-
-def _require_same_dims(a: Tensor3, b: Tensor3) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"tensors must share dims, got {a.shape} and {b.shape}")
-
-
-def unfold(a: Tensor3) -> Matrix:
-    """Stack the frontal slices vertically into an (n1*n3) x n2 matrix."""
-    a = astensor3(a)
-    n1, n2, n3 = a.shape
-    return a.transpose(2, 0, 1).reshape(n1 * n3, n2)
-
-
-def fold(m: Matrix, dims: tuple[int, int, int]) -> Tensor3:
-    """Inverse of :func:`unfold`; ``fold(unfold(a), a.shape) == a`` exactly."""
-    m = np.asarray(m, dtype=np.float64)
-    n1, n2, n3 = dims
-    if m.ndim != 2 or m.shape != (n1 * n3, n2):
-        raise DimensionError(f"expected a {n1 * n3}x{n2} matrix for dims {dims}, got shape {m.shape}")
-    return m.reshape(n3, n1, n2).transpose(1, 2, 0)
-
-
-def bcirc(a: Tensor3) -> Matrix:
-    """Block-circulant matrix of shape (n1*n3) x (n2*n3).
-
-    Block column j holds the frontal slices circularly shifted down by j,
-    so the first block column equals ``unfold(a)``. Materializing this is
-    O(n3^2) memory; it exists as a reference route for tests, the t-product
-    itself goes through the Fourier domain.
-    """
-    a = astensor3(a)
-    n1, n2, n3 = a.shape
-    out = np.empty((n1 * n3, n2 * n3))
-    for j in range(n3):
-        out[:, j * n2:(j + 1) * n2] = np.roll(a, j, axis=2).transpose(2, 0, 1).reshape(n1 * n3, n2)
     return out
 
 
@@ -71,15 +32,6 @@ def ttranspose(a: Tensor3) -> Tensor3:
     return a.transpose(1, 0, 2)[:, :, order]
 
 
-def identity_tensor(n: int, n3: int) -> Tensor3:
-    """Identity under the t-product: slice 1 is I_n, the rest are zero."""
-    if n < 1 or n3 < 1:
-        raise ParameterError(f"identity_tensor needs n >= 1 and n3 >= 1, got ({n}, {n3})")
-    out = np.zeros((n, n, n3))
-    out[:, :, 0] = np.eye(n)
-    return out
-
-
 def fro_norm(a: Tensor3) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64).ravel()))
@@ -89,18 +41,3 @@ def l1_norm(a: Tensor3) -> float:
     """Sum of absolute entries."""
     return float(np.abs(np.asarray(a, dtype=np.float64)).sum())
 
-
-def inner_product(a: Tensor3, b: Tensor3) -> float:
-    """Entrywise inner product; dims must match."""
-    a = astensor3(a)
-    b = astensor3(b)
-    _require_same_dims(a, b)
-    return float(np.sum(a * b))
-
-
-def ttrace(a: Tensor3) -> float:
-    """Sum of the traces of all frontal slices; slices must be square."""
-    a = astensor3(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"ttrace needs square frontal slices, got shape {a.shape}")
-    return float(np.trace(a, axis1=0, axis2=1).sum())

@@ -1,11 +1,9 @@
-"""Mode-3 DFT pair and the orthonormal 3-D DCT pair.
+"""The orthonormal 3-D DCT pair, the solver's sparsifying transform.
 
-Conventions: the forward mode-3 DFT is unnormalized and the inverse carries
-the 1/n3 factor (the usual fft/ifft pair), so the zero-frequency slice of a
-spectrum is the plain sum of the frontal slices. The DCT is the separable
-orthonormal DCT-II over all three modes with the DCT-III inverse; it is
-unitary, which the solver relies on to move least-squares terms between the
-pixel and coefficient domains.
+The DCT is the separable orthonormal DCT-II over all three modes with the
+DCT-III inverse; it is unitary, which the solver relies on to move
+least-squares terms between the pixel and coefficient domains. (The
+t-product's mode-3 DFT lives in :mod:`srtd.t_algebra`.)
 
 The DCT needs numpy only and runs one mode at a time. A mode of at most
 ``MATRIX_MAX_N`` entries is multiplied by a cached orthonormal DCT matrix.
@@ -25,12 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionError, SpectralConsistencyError
 from .tensor_core import Tensor3, astensor3
-
-# Largest imaginary magnitude tolerated when inverting a spectrum that is
-# supposed to come from a real tensor; anything above signals an upstream bug.
-IMAG_RESIDUE_LIMIT = 1e-9
 
 # Longest mode that takes the DCT-matrix kernel; longer modes take the FFT
 # route. Timed on one core with one OpenBLAS thread, on ~110k-entry tensors
@@ -43,33 +36,6 @@ MATRIX_MAX_N = 128
 # second full-size array is allocated; 2^13 and 2^16 were slower on
 # 256x256x3.
 SLAB_ENTRIES = 1 << 15
-
-SpectralTensor3 = np.ndarray
-
-
-def dft_mode3(a: Tensor3) -> SpectralTensor3:
-    """DFT of every tube a[i, j, :], unscaled forward convention."""
-    return np.fft.fft(astensor3(a), axis=2)
-
-
-def idft_mode3(s: SpectralTensor3) -> Tensor3:
-    """Inverse mode-3 DFT back to a real tensor.
-
-    Raises :class:`SpectralConsistencyError` if the imaginary residue after
-    inversion exceeds ``IMAG_RESIDUE_LIMIT``, i.e. the input was not the
-    spectrum of a real tensor.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.ndim != 3:
-        raise DimensionError(f"spectrum must be a third-order array, got shape {s.shape}")
-    t = np.fft.ifft(s, axis=2)
-    residue = float(np.abs(t.imag).max()) if t.size else 0.0
-    if residue > IMAG_RESIDUE_LIMIT:
-        raise SpectralConsistencyError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_LIMIT:.1e}; "
-            "input is not the spectrum of a real tensor"
-        )
-    return t.real.copy()
 
 
 @functools.lru_cache(maxsize=64)

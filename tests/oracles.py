@@ -1,0 +1,176 @@
+"""Reference implementations the tests check srtd against.
+
+None of these runs on the solve path: the block-circulant route of the
+t-product, the full T-SVD and the norms and bounds built on it, and the
+tensor helpers those need. They are independent routes to the quantities
+the solver computes, so a test can compare the fast path with them.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from srtd.errors import DimensionError, ParameterError
+from srtd.t_algebra import _from_spectral_stack, _slice, _slice_svd, _spectral_stack
+from srtd.tensor_core import Tensor3, astensor3, ttranspose
+
+_SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
+
+
+def _require_same_dims(a: Tensor3, b: Tensor3) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"tensors must share dims, got {a.shape} and {b.shape}")
+
+
+def unfold(a: Tensor3) -> np.ndarray:
+    """Stack the frontal slices vertically into an (n1*n3) x n2 matrix."""
+    a = astensor3(a)
+    n1, n2, n3 = a.shape
+    return a.transpose(2, 0, 1).reshape(n1 * n3, n2)
+
+
+def fold(m: np.ndarray, dims: tuple[int, int, int]) -> Tensor3:
+    """Inverse of :func:`unfold`; ``fold(unfold(a), a.shape) == a`` exactly."""
+    m = np.asarray(m, dtype=np.float64)
+    n1, n2, n3 = dims
+    if m.ndim != 2 or m.shape != (n1 * n3, n2):
+        raise DimensionError(f"expected a {n1 * n3}x{n2} matrix for dims {dims}, got shape {m.shape}")
+    return m.reshape(n3, n1, n2).transpose(1, 2, 0)
+
+
+def bcirc(a: Tensor3) -> np.ndarray:
+    """Block-circulant matrix of shape (n1*n3) x (n2*n3).
+
+    Block column j holds the frontal slices circularly shifted down by j,
+    so the first block column equals ``unfold(a)``. Materializing this is
+    O(n3^2) memory; it exists as a reference route for tests, the t-product
+    itself goes through the Fourier domain.
+    """
+    a = astensor3(a)
+    n1, n2, n3 = a.shape
+    out = np.empty((n1 * n3, n2 * n3))
+    for j in range(n3):
+        out[:, j * n2:(j + 1) * n2] = np.roll(a, j, axis=2).transpose(2, 0, 1).reshape(n1 * n3, n2)
+    return out
+
+
+def identity_tensor(n: int, n3: int) -> Tensor3:
+    """Identity under the t-product: slice 1 is I_n, the rest are zero."""
+    if n < 1 or n3 < 1:
+        raise ParameterError(f"identity_tensor needs n >= 1 and n3 >= 1, got ({n}, {n3})")
+    out = np.zeros((n, n, n3))
+    out[:, :, 0] = np.eye(n)
+    return out
+
+
+def inner_product(a: Tensor3, b: Tensor3) -> float:
+    """Entrywise inner product; dims must match."""
+    a = astensor3(a)
+    b = astensor3(b)
+    _require_same_dims(a, b)
+    return float(np.sum(a * b))
+
+
+def ttrace(a: Tensor3) -> float:
+    """Sum of the traces of all frontal slices; slices must be square."""
+    a = astensor3(a)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"ttrace needs square frontal slices, got shape {a.shape}")
+    return float(np.trace(a, axis1=0, axis2=1).sum())
+
+
+class TSvdFactors(NamedTuple):
+    """T-SVD triple: ``u`` (n1,n1,n3) and ``v`` (n2,n2,n3) orthogonal,
+    ``s`` (n1,n2,n3) f-diagonal with non-increasing spectral singular values."""
+
+    u: Tensor3
+    s: Tensor3
+    v: Tensor3
+
+
+def tsvd(a: Tensor3) -> TSvdFactors:
+    """Factor ``a`` as u * s * ttranspose(v) via one SVD per frequency slice."""
+    a = astensor3(a)
+    n1, n2, n3 = a.shape
+    fa = _spectral_stack(a)
+    nf = fa.shape[0]
+    fu = np.empty((nf, n1, n1), dtype=np.complex128)
+    fs = np.zeros(fa.shape, dtype=np.complex128)
+    fv = np.empty((nf, n2, n2), dtype=np.complex128)
+    k = np.arange(min(n1, n2))
+    for i in range(nf):
+        u, sv, vh = _slice_svd(_slice(fa, i, n3), full_matrices=True)
+        fu[i], fs[i, k, k], fv[i] = u, sv, vh.conj().T
+    return TSvdFactors(
+        u=_from_spectral_stack(fu, n3),
+        s=_from_spectral_stack(fs, n3),
+        v=_from_spectral_stack(fv, n3),
+    )
+
+
+def tubal_rank(a: Tensor3, tol: float = 1e-8) -> int:
+    """Largest count, over frequency slices, of singular values above
+    ``tol`` times the globally largest singular value."""
+    a = astensor3(a)
+    if tol < 0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
+    sv = np.linalg.svd(_spectral_stack(a), compute_uv=False)
+    top = sv.max(initial=0.0)
+    if top == 0.0:
+        return 0
+    return int((sv > tol * top).sum(axis=1).max())
+
+
+def tnn_via_tsvd(a: Tensor3) -> float:
+    """Tensor nuclear norm, slow path: trace of the T-SVD core summed over
+    its frontal slices. Kept as an independent oracle for :func:`tnn`."""
+    s = tsvd(a).s
+    return float(np.trace(s, axis1=0, axis2=1).sum())
+
+
+def ttnn(a: Tensor3, r: int) -> float:
+    """Truncated tensor nuclear norm: singular values of the zero-frequency
+    slice beyond the first ``r``."""
+    a = astensor3(a)
+    kmax = min(a.shape[0], a.shape[1])
+    if not 0 <= r <= kmax:
+        raise ParameterError(f"truncation r must lie in [0, {kmax}], got {r}")
+    sv = np.linalg.svd(a.sum(axis=2), compute_uv=False)
+    return float(sv[r:].sum())
+
+
+def trace_bound_check(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether tr(a x b^T) <= sum of the r largest singular values of x
+    (plus 1e-8 slack), for row-orthonormal a (r x m) and b (r x n).
+
+    Test-support only; raises :class:`ParameterError` when a or b is not
+    row-orthonormal to 1e-9.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if x.ndim != 2 or a.ndim != 2 or b.ndim != 2:
+        raise DimensionError("trace_bound_check operates on matrices")
+    r = a.shape[0]
+    if b.shape[0] != r or a.shape[1] != x.shape[0] or b.shape[1] != x.shape[1]:
+        raise DimensionError(
+            f"shape mismatch: x {x.shape} needs a (r,{x.shape[0]}) and b (r,{x.shape[1]}), "
+            f"got {a.shape} and {b.shape}"
+        )
+    for name, m in (("a", a), ("b", b)):
+        if r and np.abs(m @ m.T - np.eye(r)).max() > _SV_ATOL:
+            raise ParameterError(f"{name} is not row-orthonormal to {_SV_ATOL:.0e}")
+    lhs = float(np.trace(a @ x @ b.T))
+    sv = np.linalg.svd(x, compute_uv=False)
+    return lhs <= float(sv[:r].sum()) + 1e-8
+
+
+def truncate_factors(f: TSvdFactors, r: int):
+    """First r lateral slices of u and v, t-transposed: a_k is (r,n1,n3),
+    b_k is (r,n2,n3), both row-orthogonal in the t-product sense."""
+    kmax = min(f.u.shape[0], f.v.shape[0])
+    if not 1 <= r <= kmax:
+        raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
+    return ttranspose(f.u[:, :r, :]), ttranspose(f.v[:, :r, :])

@@ -76,6 +76,8 @@ def test_bad_argument_exit_codes(tmp_path):
     assert cli.main(base + ["--sr", "0.5", "--rank", "2",
                             "--mask-file", str(tmp_path / "ghost_mask.pgm")]) == 2
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--jobs", "0"]) == 2
+    assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--lambda", "nan"]) == 2
+    assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--mu-max", "nan"]) == 2
 
 
 def test_argparse_rejects_missing_subcommand():
@@ -191,9 +193,10 @@ def test_sweep_rank_axis(tmp_path):
 def test_sweep_rank_rejects_fractional_values(tmp_path):
     img_path = tmp_path / "toy.pgm"
     _write_image(img_path, shape=(6, 6, 1))
-    rc = cli.main(["sweep", "--input", str(img_path), "--sr", "0.5", "--rank", "1",
-                   "--out", str(tmp_path / "o"), "--axis", "rank", "--values", "1.5"])
-    assert rc == 2
+    for value in ("1.5", "nan", "inf"):  # nan and inf are not integers either
+        rc = cli.main(["sweep", "--input", str(img_path), "--sr", "0.5", "--rank", "1",
+                       "--out", str(tmp_path / "o"), "--axis", "rank", "--values", value])
+        assert rc == 2
 
 
 def test_sweep_sr_axis_json_report(tmp_path):

@@ -15,24 +15,23 @@ from srtd.solver import (
     admm_solve,
     soft_threshold,
     srtd_complete,
-    truncate_factors,
     update_e,
     update_mu,
     update_w,
     update_x,
 )
-from srtd.t_algebra import svt, tproduct, trace_pair, tsvd
-from srtd.tensor_core import fro_norm, identity_tensor, l1_norm, ttranspose
+from srtd.t_algebra import svt, tproduct, trace_pair
+from srtd.tensor_core import fro_norm, l1_norm, ttranspose
 from srtd.transforms import dct3, idct3
 
+from oracles import identity_tensor, truncate_factors, tsvd
 
-def _make_state(rng, shape, mu=0.37, r=2):
-    n1, n2, n3 = shape
+
+def _make_state(rng, shape, mu=0.37):
     return SolverState(
         x=rng.standard_normal(shape), w=rng.standard_normal(shape),
         e=rng.standard_normal(shape), y=rng.standard_normal(shape),
         z=rng.standard_normal(shape), mu=mu,
-        a_k=rng.standard_normal((r, n1, n3)), b_k=rng.standard_normal((r, n2, n3)),
     )
 
 
@@ -62,6 +61,9 @@ def test_config_defaults_and_inner_tol():
     {"r": 2, "max_outer": 0},
     {"r": 2, "max_inner": 0},
     {"r": 2, "stop_mode": "sometimes"},
+    # NaN fails every comparison, so a plain "lam < 0" check lets it through
+    {"r": 2, "lam": float("nan")},
+    {"r": 2, "mu_max": float("nan")},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ParameterError):
@@ -197,9 +199,9 @@ def test_update_e_prox_optimality():
 def test_update_w_full_and_empty_masks():
     rng = np.random.default_rng(9)
     state = _make_state(rng, (4, 5, 3))
+    grad = tproduct(ttranspose(rng.standard_normal((2, 4, 3))), rng.standard_normal((2, 5, 3)))
     m = rng.standard_normal((4, 5, 3))
     full = np.ones(m.shape, dtype=bool)
-    grad = tproduct(ttranspose(state.a_k), state.b_k)
     assert np.array_equal(update_w(state, SolverConfig(r=2), m, full, grad), m)
     w_free = state.x + (grad + state.y) / state.mu
     out = update_w(state, SolverConfig(r=2), m, ~full, grad)
@@ -209,9 +211,10 @@ def test_update_w_full_and_empty_masks():
 def test_update_w_pins_observed_entries_bitwise():
     rng = np.random.default_rng(10)
     state = _make_state(rng, (6, 6, 2))
+    grad = tproduct(ttranspose(rng.standard_normal((2, 6, 2))), rng.standard_normal((2, 6, 2)))
     m = rng.standard_normal((6, 6, 2))
     omega = random_mask(m.shape, 0.4, 0)
-    out = update_w(state, SolverConfig(r=2), m, omega, tproduct(ttranspose(state.a_k), state.b_k))
+    out = update_w(state, SolverConfig(r=2), m, omega, grad)
     assert np.array_equal(out[omega], m[omega])
 
 

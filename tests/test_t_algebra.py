@@ -1,5 +1,7 @@
 """t-product algebra: product vs block-circulant oracle, T-SVD invariants,
-tubal rank, nuclear norms, SVT, and the trace inequality used by the solver."""
+tubal rank, nuclear norms, SVT, and the trace inequality used by the solver.
+The T-SVD, tubal rank, truncated norm and trace bound are the oracles in
+``oracles.py``; their tests keep those references honest."""
 
 import os
 import subprocess
@@ -15,26 +17,20 @@ from hypothesis import strategies as st
 import srtd
 from srtd import t_algebra
 from srtd.errors import DimensionError, ParameterError
-from srtd.solver import truncate_factors
-from srtd.t_algebra import (
-    svt,
-    tnn,
-    tnn_via_tsvd,
-    tproduct,
-    trace_bound_check,
-    trace_pair,
-    tsvd,
-    tsvd_leading,
-    ttnn,
-    tubal_rank,
-)
-from srtd.tensor_core import (
+from srtd.t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
+from srtd.tensor_core import fro_norm, ttranspose
+
+from oracles import (
     bcirc,
     fold,
-    fro_norm,
     identity_tensor,
+    tnn_via_tsvd,
+    trace_bound_check,
+    truncate_factors,
+    tsvd,
+    ttnn,
     ttrace,
-    ttranspose,
+    tubal_rank,
     unfold,
 )
 

@@ -1,20 +1,13 @@
-"""Tensor container primitives: fold/unfold/bcirc layout, transpose, norms."""
+"""Tensor primitives: transpose and norms, and the layout of the
+fold/unfold/bcirc, identity, inner product and trace oracles."""
 
 import numpy as np
 import pytest
 
 from srtd.errors import DimensionError, ParameterError
-from srtd.tensor_core import (
-    bcirc,
-    fold,
-    fro_norm,
-    identity_tensor,
-    inner_product,
-    l1_norm,
-    ttrace,
-    ttranspose,
-    unfold,
-)
+from srtd.tensor_core import fro_norm, l1_norm, ttranspose
+
+from oracles import bcirc, fold, identity_tensor, inner_product, ttrace, unfold
 
 
 def test_unfold_degenerate_shape():

@@ -1,14 +1,18 @@
-"""Mode-3 DFT pair and orthonormal 3-D DCT pair, checked against explicit
-transform-matrix oracles built independently of any FFT library."""
+"""The solver's mode-3 rfft pair (``t_algebra._spectral_stack`` and
+``_from_spectral_stack``) and the orthonormal 3-D DCT pair, checked against
+explicit transform-matrix oracles built independently of any FFT library."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srtd.errors import DimensionError, SpectralConsistencyError
-from srtd.tensor_core import fro_norm, inner_product
-from srtd.transforms import MATRIX_MAX_N, dct3, dft_mode3, idct3, idft_mode3
+from srtd.errors import DimensionError
+from srtd.t_algebra import _from_spectral_stack, _slice, _spectral_stack
+from srtd.tensor_core import fro_norm
+from srtd.transforms import MATRIX_MAX_N, dct3, idct3
+
+from oracles import inner_product
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -34,22 +38,22 @@ def _dct_matrix(n):
 def test_dft_single_slice_is_identity():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4, 1))
-    s = dft_mode3(a)
+    s = _spectral_stack(a)
     assert s.dtype == np.complex128
-    assert np.array_equal(s.real, a)
+    assert np.array_equal(s[0].real, a[:, :, 0])
     assert np.all(s.imag == 0.0)
 
 
 def test_dft_constant_tube():
     a = np.array([1.0, 1.0]).reshape(1, 1, 2)
-    s = dft_mode3(a)
+    s = _spectral_stack(a)
     assert np.allclose(s.ravel(), [2.0, 0.0], atol=1e-14)
 
 
 def test_dft_impulse_tube():
     a = np.zeros((1, 1, 4))
     a[0, 0, 0] = 1.0
-    assert np.allclose(dft_mode3(a).ravel(), np.ones(4), atol=1e-14)
+    assert np.allclose(_spectral_stack(a).ravel(), np.ones(3), atol=1e-14)
 
 
 def test_dft_matches_matrix_oracle():
@@ -57,43 +61,39 @@ def test_dft_matches_matrix_oracle():
     for n3 in (2, 3, 5):
         a = rng.standard_normal((3, 2, n3))
         oracle = a @ _dft_matrix(n3).T  # contract mode 3 against the DFT matrix
-        assert np.allclose(dft_mode3(a), oracle, atol=1e-12)
+        # the stack holds the first n3 // 2 + 1 frequencies, frequency-major
+        assert np.allclose(_spectral_stack(a), np.moveaxis(oracle[:, :, :n3 // 2 + 1], 2, 0),
+                           atol=1e-12)
 
 
 def test_dft_conjugate_symmetry():
+    # a real tensor's spectrum is conjugate-symmetric, so the zero-frequency
+    # slice, and the Nyquist slice when n3 is even, are real; _slice takes
+    # exactly these as real matrices
     rng = np.random.default_rng(2)
     for n3 in (2, 3, 4, 7):
-        s = dft_mode3(rng.standard_normal((4, 3, n3)))
-        for i in range(1, n3):
-            assert np.abs(s[:, :, i] - np.conj(s[:, :, n3 - i])).max() <= 1e-12
+        s = _spectral_stack(rng.standard_normal((4, 3, n3)))
+        real_slices = (0, n3 // 2) if n3 % 2 == 0 else (0,)
+        for i in range(s.shape[0]):
+            if i in real_slices:
+                assert np.abs(s[i].imag).max() <= 1e-12
+            assert np.isrealobj(_slice(s, i, n3)) == (i in real_slices)
 
 
 def test_idft_roundtrip():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3, 5))
-    assert np.abs(idft_mode3(dft_mode3(a)) - a).max() <= 1e-12
+    assert np.abs(_from_spectral_stack(_spectral_stack(a), 5) - a).max() <= 1e-12
 
 
 def test_idft_known_tube():
-    s = np.array([2.0 + 0j, 0.0 + 0j]).reshape(1, 1, 2)
-    assert np.allclose(idft_mode3(s), np.ones((1, 1, 2)), atol=1e-14)
+    s = np.array([2.0 + 0j, 0.0 + 0j]).reshape(2, 1, 1)
+    assert np.allclose(_from_spectral_stack(s, 2), np.ones((1, 1, 2)), atol=1e-14)
 
 
 def test_idft_zero_spectrum():
-    assert np.array_equal(idft_mode3(np.zeros((2, 2, 3), dtype=complex)), np.zeros((2, 2, 3)))
-
-
-def test_idft_rejects_inconsistent_spectrum():
-    # spectrum of a real tensor must be conjugate-symmetric; this one is not
-    s = np.zeros((1, 1, 2), dtype=complex)
-    s[0, 0, 1] = 1j
-    with pytest.raises(SpectralConsistencyError):
-        idft_mode3(s)
-
-
-def test_idft_rejects_non_third_order():
-    with pytest.raises(DimensionError):
-        idft_mode3(np.zeros((3, 3), dtype=complex))
+    zero = np.zeros((2, 2, 2), dtype=complex)  # the n3 // 2 + 1 = 2 slices of n3 = 3
+    assert np.array_equal(_from_spectral_stack(zero, 3), np.zeros((2, 2, 3)))
 
 
 def test_dct_constant_tensor_has_single_dc_coefficient():
