@@ -28,6 +28,8 @@ to the same iterates up to transform round-off.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -39,6 +41,11 @@ from .tensor_core import Tensor3, astensor3, fro_norm, l1_norm, ttranspose
 from .transforms import dct3, idct3
 
 _STOP_MODES = ("relative", "absolute")
+
+
+def _is_count(value) -> bool:
+    """An integer >= 1; a float such as 2.5 or 3.0 is not one."""
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -60,22 +67,24 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ParameterError(f"truncation rank r must be >= 1, got {self.r}")
-        if not self.lam >= 0:
-            raise ParameterError(f"lam must be >= 0, got {self.lam}")
-        if not self.rho > 1:
-            raise ParameterError(f"rho must be > 1, got {self.rho}")
-        if not self.mu_init > 0:
-            raise ParameterError(f"mu_init must be > 0, got {self.mu_init}")
-        if not self.mu_max >= self.mu_init:
-            raise ParameterError(f"mu_max must be >= mu_init, got {self.mu_max}")
+        if not _is_count(self.r):
+            raise ParameterError(f"truncation rank r must be an integer >= 1, got {self.r!r}")
+        # isfinite also rejects NaN, which fails every comparison below
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ParameterError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.rho) and self.rho > 1):
+            raise ParameterError(f"rho must be finite and > 1, got {self.rho}")
+        if not (math.isfinite(self.mu_init) and self.mu_init > 0):
+            raise ParameterError(f"mu_init must be finite and > 0, got {self.mu_init}")
+        if not (math.isfinite(self.mu_max) and self.mu_max >= self.mu_init):
+            raise ParameterError(f"mu_max must be finite and >= mu_init, got {self.mu_max}")
         if not self.eps_outer > 0:
             raise ParameterError(f"eps_outer must be > 0, got {self.eps_outer}")
         if self.eps_inner is not None and not self.eps_inner > 0:
             raise ParameterError(f"eps_inner must be > 0, got {self.eps_inner}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ParameterError("max_outer and max_inner must be >= 1")
+        if not (_is_count(self.max_outer) and _is_count(self.max_inner)):
+            raise ParameterError("max_outer and max_inner must be integers >= 1, "
+                                 f"got {self.max_outer!r} and {self.max_inner!r}")
         if self.stop_mode not in _STOP_MODES:
             raise ParameterError(f"stop_mode must be one of {_STOP_MODES}, got {self.stop_mode!r}")
 
@@ -126,6 +135,7 @@ def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None)
     if back is None:
         back = idct3(state.e + state.z / state.mu)
     avg = 0.5 * (state.w - state.y / state.mu + back)
+    del back  # not held through the SVT, which may shrink several slices at once
     return svt(avg, 1.0 / (2.0 * state.mu))
 
 

@@ -11,9 +11,20 @@ SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
 first ``n3 // 2 + 1`` slices are ever touched: ``_spectral_stack`` and
 ``_from_spectral_stack`` (rfft/irfft) are the library's only mode-3 DFT
 pair, and results are identical to the full-spectrum route up to rounding.
+
+``svt`` and ``tsvd_leading`` factor their slices independently, on the
+calling thread and on one process-wide pool of slice threads
+(``_each_slice``). The pool gets the CPUs that BLAS leaves free
+(``_slice_threads``): with no BLAS thread count set in the environment,
+the slices run one after another on the calling thread. A slice's
+arithmetic is the same on any thread, so results do not depend on the
+number of slice threads.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -24,6 +35,93 @@ from .tensor_core import Tensor3, astensor3
 # Squaring A squares its condition: the shrunk singular values carry an
 # error of about eps * sigma_1 / tau, so past this ratio the SVD is used.
 GRAM_COND = 1e4
+
+# BLAS thread counts, in the order the first positive one is taken.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS")
+
+_pool = None  # the slice-thread pool, made by the first pooled call
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads, so a pool inherited
+    # from the parent would queue slices that no thread ever runs
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slice_threads() -> int:
+    """Threads that factor slices at once: the CPUs this process may run on,
+    divided by the BLAS threads of each call. BLAS threads come from the
+    first of ``_BLAS_THREAD_VARS`` that holds a positive integer; with none
+    set, BLAS is taken to use every CPU, and the slices run on one thread."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for name in _BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+def _slice_pool(threads: int):
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported on first use: the import adds about 10 ms to every start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=threads - 1, thread_name_prefix="srtd-slice")
+        return _pool
+
+
+def _each_slice(fn, n: int) -> None:
+    """Run ``fn(i)`` for i in range(n), on the calling thread and on up to
+    ``_slice_threads() - 1`` pool threads at once.
+
+    The caller takes slices alongside the pool threads. Once no slice is
+    left, it cancels the pool tasks that have not started, so it never waits
+    behind another caller's slices, and waits for the started ones, so no
+    ``fn`` runs after this returns. If ``fn`` raises, on any thread, one of
+    its exceptions is raised here once every started task has ended.
+    """
+    threads = min(_slice_threads(), n)
+    if threads <= 1:
+        for i in range(n):
+            fn(i)
+        return
+    from concurrent.futures import wait
+
+    slices = iter(range(n))
+    take = threading.Lock()
+
+    def drain():
+        while True:
+            with take:
+                i = next(slices, None)
+            if i is None:
+                return
+            fn(i)
+
+    pool = _slice_pool(threads)
+    tasks = [pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        started = [t for t in tasks if not t.cancel()]
+        wait(started)
+    for task in started:
+        task.result()
 
 
 def _spectral_stack(a: Tensor3) -> np.ndarray:
@@ -72,7 +170,8 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     """The first ``r`` lateral slices of the T-SVD factors u (n1,r,n3) and
     v (n2,r,n3) of ``a``, without s and without the trailing singular
     vectors. Equal to ``u[:, :r, :]`` and ``v[:, :r, :]`` of the full T-SVD
-    up to the phase of each singular vector pair."""
+    up to the phase of each singular vector pair. The slices are factored
+    by ``_each_slice``; the result does not depend on its thread count."""
     a = astensor3(a)
     n1, n2, n3 = a.shape
     kmax = min(n1, n2)
@@ -82,9 +181,12 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     nf = fa.shape[0]
     fu = np.empty((nf, n1, r), dtype=np.complex128)
     fv = np.empty((nf, n2, r), dtype=np.complex128)
-    for i in range(nf):
+
+    def factor(i):
         u, _, vh = _slice_svd(_slice(fa, i, n3))
         fu[i], fv[i] = u[:, :r], vh[:r].conj().T
+
+    _each_slice(factor, nf)
     return _from_spectral_stack(fu, n3), _from_spectral_stack(fv, n3)
 
 
@@ -146,7 +248,8 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     of A^H A and A A^H, keeping the eigenvalues above tau^2; that costs
     less than an SVD (about half on a real slice) and is exact to about
     eps * sigma_1 / tau. Otherwise, and whenever ``eigh`` fails, the
-    slice's SVD is used.
+    slice's SVD is used. The slices are shrunk by ``_each_slice``, in place
+    in the spectral stack; the result does not depend on its thread count.
     """
     x = astensor3(x)
     if tau < 0:
@@ -154,7 +257,8 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     n3 = x.shape[2]
     fx = _spectral_stack(x)
     gram_limit = (GRAM_COND * tau) ** 2
-    for i in range(fx.shape[0]):
+
+    def shrink(i):
         m = _slice(fx, i, n3)
         shrunk = None
         if tau > 0 and np.vdot(m, m).real <= gram_limit:
@@ -164,8 +268,10 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
             k = int(np.count_nonzero(sv > tau))
             # only the k triplets above the threshold survive
             shrunk = (u[:, :k] * (sv[:k] - tau)) @ vh[:k]
-        # the slice is rebuilt in place so that one slice's factors are
-        # alive at a time
+        # the slice is rebuilt in place so that only the factors of the
+        # slices being shrunk at the moment are alive
         fx[i] = shrunk
+
+    _each_slice(shrink, fx.shape[0])
     return _from_spectral_stack(fx, n3)
 

@@ -78,6 +78,8 @@ def test_bad_argument_exit_codes(tmp_path):
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--jobs", "0"]) == 2
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--lambda", "nan"]) == 2
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--mu-max", "nan"]) == 2
+    assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--rho", "inf"]) == 2
+    assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--mu-init", "inf"]) == 2
 
 
 def test_argparse_rejects_missing_subcommand():

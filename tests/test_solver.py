@@ -64,6 +64,16 @@ def test_config_defaults_and_inner_tol():
     # NaN fails every comparison, so a plain "lam < 0" check lets it through
     {"r": 2, "lam": float("nan")},
     {"r": 2, "mu_max": float("nan")},
+    # inf passes every comparison with a finite bound
+    {"r": 2, "lam": float("inf")},
+    {"r": 2, "rho": float("inf")},
+    {"r": 2, "mu_init": float("inf"), "mu_max": float("inf")},
+    {"r": 2, "mu_max": float("inf")},
+    # counts must be integers: a float fails late, with a TypeError
+    {"r": 2.5},
+    {"r": 2.0},
+    {"r": 2, "max_outer": 2.5},
+    {"r": 2, "max_inner": 2.5},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ParameterError):

@@ -6,6 +6,9 @@ The T-SVD, tubal rank, truncated norm and trace bound are the oracles in
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -59,10 +62,13 @@ _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=
 
 def _count_calls(monkeypatch, counts, *names):
     """Replace each np.linalg routine in ``names`` by a wrapper that counts
-    its calls in ``counts``."""
+    its calls in ``counts``. Slice threads may call it at once, so the count
+    is taken under a lock."""
+    lock = threading.Lock()
     for name in names:
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
+            with lock:
+                counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
@@ -324,10 +330,13 @@ def test_svt_falls_back_to_the_svd_when_eigh_fails(monkeypatch):
     expected = _svt_oracle(x, 0.5)
     eigh = np.linalg.eigh
     calls = []
+    lock = threading.Lock()
 
     def fails_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
+        with lock:
+            calls.append(1)
+            first = len(calls) == 1
+        if first:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigh(*args, **kwargs)
 
@@ -335,7 +344,7 @@ def test_svt_falls_back_to_the_svd_when_eigh_fails(monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, "svd")
     got = svt(x, 0.5)
-    assert len(calls) == 3 and counts["svd"] == 1  # three rfft slices, the first one by SVD
+    assert len(calls) == 3 and counts["svd"] == 1  # three rfft slices, the one that failed by SVD
     assert fro_norm(got - expected) <= 1e-10 * fro_norm(x)
 
 
@@ -443,16 +452,19 @@ def test_slice_svd_falls_back_to_gesvd(monkeypatch, routine):
     expected = routine(x)
     gesdd = np.linalg.svd
     calls = []
+    lock = threading.Lock()
 
     def fails_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
+        with lock:
+            calls.append(1)
+            first = len(calls) == 1
+        if first:
             raise np.linalg.LinAlgError("SVD did not converge")
         return gesdd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", fails_once)
     got = routine(x)
-    assert len(calls) == 3  # three rfft slices, the first one retried by gesvd
+    assert len(calls) == 3  # three rfft slices, the one that failed retried by gesvd
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -472,3 +484,185 @@ def test_import_defers_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread_and_serial_slices_start_none():
+    # importing srtd loads no concurrent.futures (about 10 ms of every
+    # start-up) and starts no thread; with no BLAS thread count set, svt and
+    # tsvd_leading keep to the calling thread
+    code = (
+        "import sys, threading, numpy as np, srtd\n"
+        "from srtd.t_algebra import svt, tsvd_leading\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "x = np.random.default_rng(0).standard_normal((6, 5, 8))\n"
+        "svt(x, 0.5), tsvd_leading(x, 2)\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in t_algebra._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(srtd.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.split("\n")[:2] == ["False 1", "False 1"]
+
+
+@pytest.fixture
+def slice_threads(monkeypatch):
+    """Set the slice-thread count with the returned function. The test gets a
+    pool of its own, shut down when it ends."""
+    monkeypatch.setattr(t_algebra, "_pool", None)
+
+    def set_threads(n):
+        monkeypatch.setattr(t_algebra, "_slice_threads", lambda: n)
+
+    yield set_threads
+    if t_algebra._pool is not None:
+        t_algebra._pool.shutdown(wait=True)
+
+
+def _mixed_route_input(shape, seed):
+    # a large tube-constant part lives in the zero-frequency slice only, so
+    # at tau = 1e-2 that slice takes the SVD and the others take eigh
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1e6 * rng.standard_normal(shape[:2])[:, :, None]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n3", [1, 2, 5, 8])
+@pytest.mark.parametrize("n1,n2", [(7, 4), (4, 7), (5, 5)], ids=["tall", "wide", "square"])
+def test_pooled_slices_are_bitwise_serial(slice_threads, workers, n1, n2, n3):
+    x = _mixed_route_input((n1, n2, n3), 21)
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    taus = (0.0, 1e-2, 0.3 * smax, 2.0 * smax)
+
+    def run():
+        return [svt(x, tau) for tau in taus] + list(tsvd_leading(x, 2))
+
+    slice_threads(1)
+    serial = run()
+    slice_threads(workers + 1)
+    for _ in range(3):
+        for got, want in zip(run(), serial):
+            assert np.array_equal(got, want)
+
+
+def test_each_slice_runs_slices_at_once(slice_threads):
+    # each of the first two slices waits for the other one to start, which
+    # only a second thread can do
+    slice_threads(2)
+    both = threading.Barrier(2, timeout=30)
+    done = []
+
+    def fn(i):
+        if i < 2:
+            both.wait()
+        done.append(i)
+
+    t_algebra._each_slice(fn, 5)
+    assert sorted(done) == [0, 1, 2, 3, 4]
+
+
+def test_worker_exception_is_raised_and_the_next_call_works(slice_threads, monkeypatch):
+    # the calling thread holds its first slice until a pool thread has
+    # failed on another one, so the exception comes from a pool thread
+    slice_threads(2)
+    monkeypatch.setattr(t_algebra, "GRAM_COND", 0.0)  # every slice through _slice_svd
+    x = np.random.default_rng(22).standard_normal((5, 4, 6))
+    expected = svt(x, 0.5)
+    slice_svd = t_algebra._slice_svd
+    failed = threading.Event()
+
+    def fails_on_a_pool_thread(m, *args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            failed.wait(timeout=30)
+        else:
+            failed.set()
+            raise np.linalg.LinAlgError("slice failed")
+        return slice_svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(t_algebra, "_slice_svd", fails_on_a_pool_thread)
+    with pytest.raises(np.linalg.LinAlgError, match="slice failed"):
+        svt(x, 0.5)
+    assert failed.is_set()
+    monkeypatch.setattr(t_algebra, "_slice_svd", slice_svd)
+    assert np.array_equal(svt(x, 0.5), expected)
+
+
+def test_concurrent_solves_share_the_pool(slice_threads):
+    # two solves at once, as `srtd sweep --jobs 2` runs them, on one pool
+    # thread: each matches its serial run and neither waits for the other
+    instances = []
+    for seed in (23, 24):
+        rng = np.random.default_rng(seed)
+        g = tproduct(rng.standard_normal((16, 2, 9)), rng.standard_normal((2, 14, 9)))
+        omega = srtd.random_mask(g.shape, 0.6, seed)
+        instances.append((g * omega, omega, srtd.SolverConfig(r=2, seed=seed, max_outer=3)))
+    slice_threads(1)
+    serial = [srtd.srtd_complete(*inst).recovered for inst in instances]
+    slice_threads(2)
+    results = [None, None]
+
+    def solve(k):
+        results[k] = srtd.srtd_complete(*instances[k]).recovered
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert got is not None and np.array_equal(got, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_svt_completes_in_a_forked_child(slice_threads):
+    # the child inherits no pool thread, so it must build a pool of its own
+    slice_threads(2)
+    x = np.random.default_rng(25).standard_normal((6, 5, 8))
+    expected = svt(x, 0.5)  # makes the parent's pool
+    assert t_algebra._pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if np.array_equal(svt(x, 0.5), expected) else 3
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+def test_slice_threads_are_the_cpus_blas_leaves_free(monkeypatch):
+    for name in t_algebra._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert t_algebra._slice_threads() == 1  # BLAS is taken to use every CPU
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert t_algebra._slice_threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert t_algebra._slice_threads() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert t_algebra._slice_threads() == 1
+    # the first variable holding a positive integer counts
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    monkeypatch.setenv("OMP_NUM_THREADS", "auto")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert t_algebra._slice_threads() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert t_algebra._slice_threads() == 4
