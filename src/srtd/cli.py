@@ -166,11 +166,16 @@ def _merge_config(args: dict) -> dict:
             except (TypeError, ValueError):
                 raise ParameterError(f"{key} must be a number, got {merged[key]!r}")
     for key in _INT_KEYS:
-        if merged[key] is not None:
-            try:
-                merged[key] = int(merged[key])
-            except (TypeError, ValueError):
-                raise ParameterError(f"{key} must be an integer, got {merged[key]!r}")
+        value = merged[key]
+        if value is None:
+            continue
+        # int() would truncate 2.5 to 2 and read true as 1
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ParameterError(f"{key} must be an integer, got {value!r}")
+        try:
+            merged[key] = int(value)
+        except (TypeError, ValueError):
+            raise ParameterError(f"{key} must be an integer, got {value!r}")
     if isinstance(merged["input"], str):
         merged["input"] = [merged["input"]]
     return merged

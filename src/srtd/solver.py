@@ -19,7 +19,8 @@ All updates are closed-form:
 
 Z reads only E, X, Z and mu, so it follows E directly and shares its
 dct3(X); a_k^T * b_k is fixed within an outer step and computed once per
-step.
+step. The sweep updates W, E, Y and Z in place, through one work buffer
+that takes over each dead X, so svt's result is the only new iterate.
 
 Setting ``sparse_term=False`` removes the E/Z machinery entirely (the pure
 truncated-nuclear-norm baseline); with lambda = 0 the full model collapses
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, ParameterError
 from .t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
 from .tensor_core import Tensor3, astensor3, fro_norm, l1_norm, ttranspose
-from .transforms import dct3, idct3
+from .transforms import SLAB_ENTRIES, dct3, idct3
 
 _STOP_MODES = ("relative", "absolute")
 
@@ -130,25 +131,55 @@ def soft_threshold(x, tau):
     return x - np.clip(x, -tau, tau)
 
 
-def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
-    """X-update; ``back`` stands in for idct3(e + z/mu) when given."""
+def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None,
+             work: Tensor3 | None = None) -> Tensor3:
+    """X-update; ``back`` stands in for idct3(e + z/mu) when given.
+
+    The SVT's argument is formed in ``work``, a float64 array of x's shape
+    that the call overwrites, or in a new array without it. The state is
+    not modified."""
+    if work is None:
+        work = np.empty(state.w.shape)
     if back is None:
-        back = idct3(state.e + state.z / state.mu)
-    avg = 0.5 * (state.w - state.y / state.mu + back)
+        np.divide(state.z, state.mu, out=work)
+        np.add(state.e, work, out=work)
+        back = idct3(work)
+    np.divide(state.y, state.mu, out=work)
+    np.subtract(state.w, work, out=work)
+    work += back
     del back  # not held through the SVT, which may shrink several slices at once
-    return svt(avg, 1.0 / (2.0 * state.mu))
+    work *= 0.5
+    return svt(work, 1.0 / (2.0 * state.mu))
 
 
-def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
-    """E-update; ``dx`` is dct3(state.x)."""
-    return soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
+def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
+             out: Tensor3 | None = None) -> Tensor3:
+    """E-update; ``dx`` is dct3(state.x). Written into ``out`` when given,
+    which may be state.e; nothing else is modified."""
+    e = np.empty(dx.shape) if out is None else out
+    np.divide(state.z, state.mu, out=e)
+    np.subtract(dx, e, out=e)
+    # soft_threshold in place, a slab at a time so that clip's result stays small
+    tau = cfg.lam / state.mu
+    step = max(1, SLAB_ENTRIES // max(1, e[0].size))
+    for lo in range(0, e.shape[0], step):
+        s = e[lo:lo + step]
+        s -= np.clip(s, -tau, tau)
+    return e
 
 
-def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Tensor3) -> Tensor3:
-    """W-update; ``grad`` is tproduct(ttranspose(a_k), b_k)."""
-    w_free = state.x + (grad + state.y) / state.mu
+def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Tensor3,
+             out: Tensor3 | None = None) -> Tensor3:
+    """W-update; ``grad`` is tproduct(ttranspose(a_k), b_k). ``m`` is read
+    only on ``omega``. Written into ``out`` when given, which may be
+    state.w; nothing else is modified."""
+    w = np.empty(grad.shape) if out is None else out
+    np.add(grad, state.y, out=w)
+    w /= state.mu
+    np.add(state.x, w, out=w)
     # observed entries are pinned to the data, free entries keep the update
-    return np.where(omega, m, w_free)
+    np.putmask(w, omega, m)
+    return w
 
 
 def update_mu(state: SolverState, cfg: SolverConfig) -> float:
@@ -168,10 +199,13 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
                warm: SolverState | None = None, sparse_term: bool = True) -> SolverState:
     """Inner ADMM for fixed truncated factors.
 
-    ``warm`` continues a previous state (duals and mu included); otherwise
-    x = w = m, e = z = 0, and y is seeded uniform [0,1). Stops when the
-    iterate change passes cfg's inner test or max_inner is hit. Raises
-    DivergenceError if an iterate goes non-finite.
+    ``m`` is read only on ``omega``; its other entries may hold anything.
+    ``warm`` continues a previous state (duals and mu included) and is
+    returned, with its w, e, y and z updated in place; the array it holds
+    as x is never written, so a caller may keep it. Without ``warm``,
+    x = w = m on omega and 0 elsewhere, e = z = 0, and y is seeded uniform
+    [0,1). Stops when the iterate change passes cfg's inner test or
+    max_inner is hit. Raises DivergenceError if an iterate goes non-finite.
 
     With ``sparse_term=False`` the E/Z steps are skipped and the X-update's
     idct3(e + z/mu) is taken to be the previous x, which is what it equals
@@ -182,8 +216,9 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     omega = _check_mask(omega, m.shape)
     if warm is None:
         rng = np.random.default_rng(cfg.seed)
+        x = np.where(omega, m, 0.0)
         state = SolverState(
-            x=m.copy(), w=m.copy(),
+            x=x, w=x.copy(),
             e=np.zeros(m.shape), y=rng.random(m.shape), z=np.zeros(m.shape),
             mu=cfg.mu_init,
         )
@@ -191,31 +226,42 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         state = warm
     state.inner_iter = 0
     grad = tproduct(ttranspose(a_k), b_k)
+    # One work buffer per solve. The updates write into it and into the
+    # state's w, e, y and z, in the same operations, in the same order, as
+    # their allocating forms; svt allocates each new x.
+    work = np.empty(m.shape)
+    owned = warm is None  # whether this call made the x it starts from
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
         # only a cold start's first sweep reads e = z = 0 (see the docstring)
         cold = warm is None and t == 1
-        state.x = update_x(state, cfg, None if sparse_term or cold else x_prev)
-        if not np.isfinite(state.x).all():
+        state.x = x = update_x(state, cfg, None if sparse_term or cold else x_prev, work)
+        if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
+        delta = fro_norm(np.subtract(x, x_prev, out=work))
+        if cfg.stop_mode == "relative":
+            delta /= max(1.0, fro_norm(x))
+        if owned:
+            work = x_prev  # the previous x is dead; the old buffer is freed
+        owned = True
         if sparse_term:
-            dx = dct3(state.x)
-            state.e = update_e(state, cfg, dx)
-            state.z = state.z + state.mu * (state.e - dx)
-            del dx  # not held while the W-update allocates
-        state.w = update_w(state, cfg, m, omega, grad)
+            dx = dct3(x, out=work)
+            update_e(state, cfg, dx, out=state.e)
+            # z += mu (e - dx), with the product formed in dx's buffer
+            np.subtract(state.e, dx, out=dx)
+            dx *= state.mu
+            state.z += dx
+        update_w(state, cfg, m, omega, grad, out=state.w)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        state.y = state.y + state.mu * (state.x - state.w)
+        np.subtract(x, state.w, out=work)
+        work *= state.mu
+        state.y += work
         state.mu = update_mu(state, cfg)
         state.inner_iter = t
-
-        delta = fro_norm(state.x - x_prev)
-        if cfg.stop_mode == "relative":
-            delta /= max(1.0, fro_norm(state.x))
         if delta <= cfg.inner_tol:
             break
     return state
@@ -244,8 +290,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
         raise ParameterError("observed entries contain non-finite values")
 
     start = time.perf_counter()
-    m_obs = np.where(omega, m, 0.0)
-    x_cur = m_obs
+    x_cur = np.where(omega, m, 0.0)  # the zero-filled observation
     state = None
     trace = []
     inner_total = 0
@@ -256,10 +301,12 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
         u_r, v_r = tsvd_leading(x_cur, cfg.r)
         a_k, b_k = ttranspose(u_r), ttranspose(v_r)
         trace.append(_surrogate(x_cur, a_k, b_k, cfg.lam))
-        if state is not None:
+        if state is None:
+            x_cur = None  # not held through the solve; its cold start rebuilds it
+        else:
             state.outer_iter = k
         try:
-            state = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=state, sparse_term=sparse_term)
+            state = admm_solve(m, omega, a_k, b_k, cfg, warm=state, sparse_term=sparse_term)
         except DivergenceError as err:
             raise DivergenceError(
                 f"solver diverged at outer step {k}, inner step {err.inner_iter}",
@@ -268,7 +315,10 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
         inner_total += state.inner_iter
         outer_done = k
 
-        delta = fro_norm(state.x - x_cur)
+        if x_cur is None:  # the change from the zero-filled observation
+            delta = fro_norm(np.where(omega, state.x - m, state.x))
+        else:
+            delta = fro_norm(state.x - x_cur)
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(state.x))
         x_cur = state.x

@@ -14,7 +14,8 @@ rotate coefficient k by exp(-i pi k / 2n). Coefficient k is then the real
 part and coefficient n - k minus the imaginary part of the same rotated
 value. The inverse runs that route backwards through ``irfft``. Each mode
 is transformed slab by slab into the result array, so the result is the
-only full-size allocation and the work buffers stay in cache.
+only full-size allocation and the work buffers stay in cache; ``dct3`` can
+write into a given array instead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 
 import numpy as np
 
+from .errors import ParameterError
 from .tensor_core import Tensor3, astensor3
 
 # Longest mode that takes the DCT-matrix kernel; longer modes take the FFT
@@ -138,9 +140,13 @@ def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
             np.negative(wv.imag[h - 1:0:-1], out=dv[m + 1:])
 
 
-def _dct3(a, inverse: bool) -> Tensor3:
+def _dct3(a, inverse: bool, out=None) -> Tensor3:
     a = astensor3(a)
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape or out.dtype != np.float64 or np.may_share_memory(a, out):
+        raise ParameterError("out must be a float64 array of the input's shape that does not "
+                             "overlap it")
     if out.size == 0:
         return out
     src = a
@@ -155,9 +161,12 @@ def _dct3(a, inverse: bool) -> Tensor3:
     return out
 
 
-def dct3(a: Tensor3) -> Tensor3:
-    """Orthonormal DCT-II along modes 1, 2, 3 (the sparsifying transform)."""
-    return _dct3(a, inverse=False)
+def dct3(a: Tensor3, out: Tensor3 | None = None) -> Tensor3:
+    """Orthonormal DCT-II along modes 1, 2, 3 (the sparsifying transform).
+
+    With ``out``, a float64 array of ``a``'s shape that does not overlap
+    ``a``, the result is written there instead of into a new array."""
+    return _dct3(a, inverse=False, out=out)
 
 
 def idct3(e: Tensor3) -> Tensor3:

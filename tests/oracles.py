@@ -1,9 +1,10 @@
 """Reference implementations the tests check srtd against.
 
 None of these runs on the solve path: the block-circulant route of the
-t-product, the full T-SVD and the norms and bounds built on it, and the
-tensor helpers those need. They are independent routes to the quantities
-the solver computes, so a test can compare the fast path with them.
+t-product, the full T-SVD and the norms and bounds built on it, the tensor
+helpers those need, and an ADMM sweep that allocates every iterate anew.
+They are independent routes to the quantities the solver computes, so a
+test can compare the fast path with them.
 """
 
 from __future__ import annotations
@@ -12,9 +13,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from srtd.errors import DimensionError, ParameterError
-from srtd.t_algebra import _from_spectral_stack, _slice, _slice_svd, _spectral_stack
-from srtd.tensor_core import Tensor3, astensor3, ttranspose
+import srtd.solver as solver
+from srtd.errors import DimensionError, DivergenceError, ParameterError
+from srtd.solver import SolverConfig, SolverState
+from srtd.t_algebra import (
+    _from_spectral_stack,
+    _slice,
+    _slice_svd,
+    _spectral_stack,
+    svt,
+    tproduct,
+    tsvd_leading,
+)
+from srtd.tensor_core import Tensor3, astensor3, fro_norm, ttranspose
+from srtd.transforms import dct3, idct3
 
 _SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
 
@@ -174,3 +186,100 @@ def truncate_factors(f: TSvdFactors, r: int):
     if not 1 <= r <= kmax:
         raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
     return ttranspose(f.u[:, :r, :]), ttranspose(f.v[:, :r, :])
+
+
+# The allocating ADMM sweep: every update builds new arrays and a warm
+# state's fields are rebound, never written. srtd.solver runs the same
+# floating-point operations in the same order in place, so its iterates
+# must equal these bitwise.
+
+def _update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
+    if back is None:
+        back = idct3(state.e + state.z / state.mu)
+    avg = 0.5 * (state.w - state.y / state.mu + back)
+    return svt(avg, 1.0 / (2.0 * state.mu))
+
+
+def _update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
+    return solver.soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
+
+
+def _update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Tensor3) -> Tensor3:
+    w_free = state.x + (grad + state.y) / state.mu
+    return np.where(omega, m, w_free)
+
+
+def reference_admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
+                         warm: SolverState | None = None,
+                         sparse_term: bool = True) -> SolverState:
+    """``srtd.solver.admm_solve`` with allocating updates; ``m`` must be
+    zero-filled off ``omega``."""
+    m = astensor3(m, "m")
+    if warm is None:
+        rng = np.random.default_rng(cfg.seed)
+        state = SolverState(
+            x=m.copy(), w=m.copy(),
+            e=np.zeros(m.shape), y=rng.random(m.shape), z=np.zeros(m.shape),
+            mu=cfg.mu_init,
+        )
+    else:
+        state = warm
+    state.inner_iter = 0
+    grad = tproduct(ttranspose(a_k), b_k)
+
+    for t in range(1, cfg.max_inner + 1):
+        x_prev = state.x
+        cold = warm is None and t == 1
+        state.x = _update_x(state, cfg, None if sparse_term or cold else x_prev)
+        if not np.isfinite(state.x).all():
+            raise DivergenceError(f"non-finite x iterate at inner step {t}",
+                                  outer_iter=state.outer_iter, inner_iter=t)
+        if sparse_term:
+            dx = dct3(state.x)
+            state.e = _update_e(state, cfg, dx)
+            state.z = state.z + state.mu * (state.e - dx)
+        state.w = _update_w(state, cfg, m, omega, grad)
+        if not np.isfinite(state.w).all():
+            raise DivergenceError(f"non-finite w iterate at inner step {t}",
+                                  outer_iter=state.outer_iter, inner_iter=t)
+        state.y = state.y + state.mu * (state.x - state.w)
+        state.mu = solver.update_mu(state, cfg)
+        state.inner_iter = t
+
+        delta = fro_norm(state.x - x_prev)
+        if cfg.stop_mode == "relative":
+            delta /= max(1.0, fro_norm(state.x))
+        if delta <= cfg.inner_tol:
+            break
+    return state
+
+
+def reference_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True):
+    """``srtd.solver.srtd_complete``'s outer loop over
+    :func:`reference_admm_solve`, holding the zero-filled observation
+    throughout: (recovered, objective trace, final residuals, outer steps,
+    total sweeps)."""
+    m = astensor3(m, "m")
+    m_obs = np.where(omega, m, 0.0)
+    x_cur, state, trace, inner_total, outer_done = m_obs, None, [], 0, 0
+    for k in range(1, cfg.max_outer + 1):
+        u_r, v_r = tsvd_leading(x_cur, cfg.r)
+        a_k, b_k = ttranspose(u_r), ttranspose(v_r)
+        trace.append(solver._surrogate(x_cur, a_k, b_k, cfg.lam))
+        if state is not None:
+            state.outer_iter = k
+        state = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=state,
+                                     sparse_term=sparse_term)
+        state.outer_iter = k
+        inner_total += state.inner_iter
+        outer_done = k
+        delta = fro_norm(state.x - x_cur)
+        if cfg.stop_mode == "relative":
+            delta /= max(1.0, fro_norm(state.x))
+        x_cur = state.x
+        if delta <= cfg.eps_outer:
+            break
+    trace.append(solver._surrogate(x_cur, a_k, b_k, cfg.lam))
+    e_gap = fro_norm(state.e - dct3(state.x)) if sparse_term else 0.0
+    residuals = (fro_norm(state.x - state.w), e_gap, float(delta))
+    return np.where(omega, m, state.x), tuple(trace), residuals, outer_done, inner_total

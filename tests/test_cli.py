@@ -164,6 +164,35 @@ def test_config_file_errors(tmp_path):
     assert cli.main(args + ["--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("key", ["seed", "rank", "max_outer", "max_inner", "jobs"])
+@pytest.mark.parametrize("value", [2.5, True, float("inf")], ids=["fraction", "bool", "inf"])
+def test_config_file_rejects_non_integral_counts(tmp_path, key, value):
+    img_path = tmp_path / "toy.pgm"
+    _write_image(img_path, shape=(4, 4, 1))
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({key: value}))
+    args = ["complete", "--input", str(img_path), "--sr", "0.5", "--rank", "1",
+            "--out", str(tmp_path / "out"), "--config", str(config)]
+    if key == "rank":
+        args.remove("--rank")
+        args.remove("1")
+    assert cli.main(args) == 2
+
+
+def test_config_file_accepts_integral_float_counts(tmp_path):
+    img_path = tmp_path / "toy.pgm"
+    _write_image(img_path, shape=(6, 6, 1))
+    out = tmp_path / "out"
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"rank": 2.0, "max_outer": 2.0, "seed": 3.0}))
+    rc = cli.main(["complete", "--input", str(img_path), "--sr", "0.5", "--out", str(out),
+                   "--config", str(config)])
+    assert rc == 0
+    _, rows = _read_report(out / "report.csv")
+    row = dict(zip(cli.REPORT_COLUMNS, rows[0]))
+    assert row["rank"] == "2" and row["seed"] == "3"
+
+
 def test_sweep_lambda_is_mask_matched(tmp_path):
     img_path = tmp_path / "toy.ppm"
     _write_image(img_path)

@@ -505,20 +505,6 @@ def test_import_starts_no_thread_and_serial_slices_start_none():
     assert out.stdout.split("\n")[:2] == ["False 1", "False 1"]
 
 
-@pytest.fixture
-def slice_threads(monkeypatch):
-    """Set the slice-thread count with the returned function. The test gets a
-    pool of its own, shut down when it ends."""
-    monkeypatch.setattr(t_algebra, "_pool", None)
-
-    def set_threads(n):
-        monkeypatch.setattr(t_algebra, "_slice_threads", lambda: n)
-
-    yield set_threads
-    if t_algebra._pool is not None:
-        t_algebra._pool.shutdown(wait=True)
-
-
 def _mixed_route_input(shape, seed):
     # a large tube-constant part lives in the zero-frequency slice only, so
     # at tau = 1e-2 that slice takes the SVD and the others take eigh

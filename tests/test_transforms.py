@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srtd.errors import DimensionError
+from srtd.errors import DimensionError, ParameterError
 from srtd.t_algebra import _from_spectral_stack, _slice, _spectral_stack
 from srtd.tensor_core import fro_norm
 from srtd.transforms import MATRIX_MAX_N, dct3, idct3
@@ -221,3 +221,19 @@ def test_dct_does_not_modify_its_input_and_accepts_views():
 def test_dct_of_empty_tensor_is_empty():
     assert dct3(np.zeros((0, 3, 200))).shape == (0, 3, 200)
     assert idct3(np.zeros((4, 0, 2))).shape == (4, 0, 2)
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 3), (130, 4, 2), (3, 140, 5), (4, 3, 129)])
+def test_dct_into_out_is_bitwise_the_allocating_result(shape):
+    # both kernels, with the long mode in each position
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    out = np.full(shape, np.nan)
+    assert dct3(a, out=out) is out
+    assert np.array_equal(out, dct3(a))
+
+
+def test_dct_rejects_an_out_it_cannot_fill():
+    a = np.zeros((4, 3, 2))
+    for out in (a, a[:, :, ::-1], np.empty((4, 3, 3)), np.empty((4, 3, 2), np.float32)):
+        with pytest.raises(ParameterError):
+            dct3(a, out=out)
