@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -295,6 +294,9 @@ def _execute(tasks, jobs: int, on_row):
             if on_row:
                 on_row(row)
         return rows
+    # imported here: it loads logging, which no serial run needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(task) for task in tasks]
         try:

@@ -19,8 +19,11 @@ All updates are closed-form:
 
 Z reads only E, X, Z and mu, so it follows E directly and shares its
 dct3(X); a_k^T * b_k is fixed within an outer step and computed once per
-step. The sweep updates W, E, Y and Z in place, through one work buffer
-that takes over each dead X, so svt's result is the only new iterate.
+step. The sweep updates W, Y and Z in place, through one work buffer. E is
+rebuilt from dct3(X) and Z alone, so once the X-update has formed
+E + Z/mu the E buffer is spent: idct3's result and then the new X are
+written into it, and the new E into the previous X's buffer. After a
+call's first sweep, no sweep with the E-term allocates a full-size iterate.
 
 Setting ``sparse_term=False`` removes the E/Z machinery entirely (the pure
 truncated-nuclear-norm baseline); with lambda = 0 the full model collapses
@@ -79,10 +82,12 @@ class SolverConfig:
             raise ParameterError(f"mu_init must be finite and > 0, got {self.mu_init}")
         if not (math.isfinite(self.mu_max) and self.mu_max >= self.mu_init):
             raise ParameterError(f"mu_max must be finite and >= mu_init, got {self.mu_max}")
-        if not self.eps_outer > 0:
-            raise ParameterError(f"eps_outer must be > 0, got {self.eps_outer}")
-        if self.eps_inner is not None and not self.eps_inner > 0:
-            raise ParameterError(f"eps_inner must be > 0, got {self.eps_inner}")
+        # an infinite tolerance passes every stop test after one sweep
+        if not (math.isfinite(self.eps_outer) and self.eps_outer > 0):
+            raise ParameterError(f"eps_outer must be finite and > 0, got {self.eps_outer}")
+        if self.eps_inner is not None and not (math.isfinite(self.eps_inner)
+                                               and self.eps_inner > 0):
+            raise ParameterError(f"eps_inner must be finite and > 0, got {self.eps_inner}")
         if not (_is_count(self.max_outer) and _is_count(self.max_inner)):
             raise ParameterError("max_outer and max_inner must be integers >= 1, "
                                  f"got {self.max_outer!r} and {self.max_inner!r}")
@@ -132,24 +137,27 @@ def soft_threshold(x, tau):
 
 
 def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None,
-             work: Tensor3 | None = None) -> Tensor3:
+             work: Tensor3 | None = None, out: Tensor3 | None = None) -> Tensor3:
     """X-update; ``back`` stands in for idct3(e + z/mu) when given.
 
     The SVT's argument is formed in ``work``, a float64 array of x's shape
-    that the call overwrites, or in a new array without it. The state is
-    not modified."""
+    that the call overwrites, or in a new array without it. With ``out``,
+    a float64 array of x's shape that overlaps neither ``work`` nor
+    ``back``, the back-term (when computed here) and then the new x are
+    written there, and ``out`` is returned; it may be state.e, which is
+    then spent. Nothing else of the state is modified."""
     if work is None:
         work = np.empty(state.w.shape)
     if back is None:
         np.divide(state.z, state.mu, out=work)
         np.add(state.e, work, out=work)
-        back = idct3(work)
+        back = idct3(work, out=out)
     np.divide(state.y, state.mu, out=work)
     np.subtract(state.w, work, out=work)
     work += back
     del back  # not held through the SVT, which may shrink several slices at once
     work *= 0.5
-    return svt(work, 1.0 / (2.0 * state.mu))
+    return svt(work, 1.0 / (2.0 * state.mu), out=out)
 
 
 def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
@@ -201,8 +209,10 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
 
     ``m`` is read only on ``omega``; its other entries may hold anything.
     ``warm`` continues a previous state (duals and mu included) and is
-    returned, with its w, e, y and z updated in place; the array it holds
-    as x is never written, so a caller may keep it. Without ``warm``,
+    returned, with its w, y and z updated in place and its x and e rebound:
+    the array it held as e is overwritten and may come back as x, and the
+    array it held as x is never written, so a caller may keep it. If the
+    call raises, the state's e holds no E iterate. Without ``warm``,
     x = w = m on omega and 0 elsewhere, e = z = 0, and y is seeded uniform
     [0,1). Stops when the iterate change passes cfg's inner test or
     max_inner is hit. Raises DivergenceError if an iterate goes non-finite.
@@ -227,8 +237,10 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     state.inner_iter = 0
     grad = tproduct(ttranspose(a_k), b_k)
     # One work buffer per solve. The updates write into it and into the
-    # state's w, e, y and z, in the same operations, in the same order, as
-    # their allocating forms; svt allocates each new x.
+    # state's buffers, in the same operations, in the same order, as their
+    # allocating forms. With the sparse term, the new x takes e's buffer
+    # and the new e the previous x's; without it, svt allocates each new x
+    # and the work buffer takes over the previous one.
     work = np.empty(m.shape)
     owned = warm is None  # whether this call made the x it starts from
 
@@ -236,23 +248,26 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         x_prev = state.x
         # only a cold start's first sweep reads e = z = 0 (see the docstring)
         cold = warm is None and t == 1
-        state.x = x = update_x(state, cfg, None if sparse_term or cold else x_prev, work)
+        state.x = x = update_x(state, cfg, None if sparse_term or cold else x_prev, work,
+                               out=state.e if sparse_term else None)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
         delta = fro_norm(np.subtract(x, x_prev, out=work))
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(x))
-        if owned:
-            work = x_prev  # the previous x is dead; the old buffer is freed
+        # the previous x is dead unless the caller keeps it (a warm start's x)
+        spare = x_prev if owned else None
         owned = True
         if sparse_term:
             dx = dct3(x, out=work)
-            update_e(state, cfg, dx, out=state.e)
+            state.e = update_e(state, cfg, dx, out=spare)
             # z += mu (e - dx), with the product formed in dx's buffer
             np.subtract(state.e, dx, out=dx)
             dx *= state.mu
             state.z += dx
+        elif spare is not None:
+            work = spare  # the old work buffer is freed
         update_w(state, cfg, m, omega, grad, out=state.w)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",

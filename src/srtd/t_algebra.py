@@ -13,12 +13,12 @@ first ``n3 // 2 + 1`` slices are ever touched: ``_spectral_stack`` and
 pair, and results are identical to the full-spectrum route up to rounding.
 
 ``svt`` and ``tsvd_leading`` factor their slices independently, on the
-calling thread and on one process-wide pool of slice threads
-(``_each_slice``). The pool gets the CPUs that BLAS leaves free
+calling thread and on helper threads fed from one process-wide queue
+(``_each_slice``). The slices get the CPUs that BLAS leaves free
 (``_slice_threads``): with no BLAS thread count set in the environment,
-the slices run one after another on the calling thread. A slice's
-arithmetic is the same on any thread, so results do not depend on the
-number of slice threads.
+they run one after another on the calling thread and no helper is
+started. A slice's arithmetic is the same on any thread, so results do not
+depend on the number of slice threads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import threading
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensor_core import Tensor3, astensor3
+from .tensor_core import Tensor3, astensor3, check_out
+from .transforms import SLAB_ENTRIES
 
 # Largest ||A||_F / tau for which svt shrinks slice A from its Gram matrix.
 # Squaring A squares its condition: the shrunk singular values carry an
@@ -40,19 +41,20 @@ GRAM_COND = 1e4
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "BLIS_NUM_THREADS")
 
-_pool = None  # the slice-thread pool, made by the first pooled call
-_pool_lock = threading.Lock()
+_tasks = None  # the queue that feeds the slice threads, made by the first pooled call
+_helpers = ()  # the threads that serve it
+_tasks_lock = threading.Lock()
 
 
-def _forget_pool() -> None:
-    # a forked child has none of the parent's threads, so a pool inherited
-    # from the parent would queue slices that no thread ever runs
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _forget_tasks() -> None:
+    # a forked child has none of the parent's threads, so a queue inherited
+    # from the parent would hold slices that no thread ever runs
+    global _tasks, _helpers, _tasks_lock
+    _tasks, _helpers, _tasks_lock = None, (), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_tasks)
 
 
 def _slice_threads() -> int:
@@ -74,54 +76,79 @@ def _slice_threads() -> int:
     return 1
 
 
-def _slice_pool(threads: int):
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported on first use: the import adds about 10 ms to every start-up
-            from concurrent.futures import ThreadPoolExecutor
+def _serve(tasks) -> None:
+    # the name is dropped after each task, so that a helper waiting for the
+    # next one holds nothing of the last (a drain holds its caller's
+    # spectral stack); None stops the thread
+    while True:
+        task = tasks.get()
+        if task is None:
+            return
+        task()
+        del task
 
-            _pool = ThreadPoolExecutor(max_workers=threads - 1, thread_name_prefix="srtd-slice")
-        return _pool
+
+def _task_queue():
+    global _tasks, _helpers
+    with _tasks_lock:
+        if _tasks is None:
+            import queue  # on first use: serial slices never need it
+
+            _tasks = queue.SimpleQueue()
+            _helpers = tuple(threading.Thread(target=_serve, args=(_tasks,), name="srtd-slice",
+                                              daemon=True) for _ in range(_slice_threads() - 1))
+            for thread in _helpers:
+                thread.start()
+        return _tasks
 
 
 def _each_slice(fn, n: int) -> None:
     """Run ``fn(i)`` for i in range(n), on the calling thread and on up to
-    ``_slice_threads() - 1`` pool threads at once.
+    ``_slice_threads() - 1`` helper threads at once.
 
-    The caller takes slices alongside the pool threads. Once no slice is
-    left, it cancels the pool tasks that have not started, so it never waits
-    behind another caller's slices, and waits for the started ones, so no
-    ``fn`` runs after this returns. If ``fn`` raises, on any thread, one of
-    its exceptions is raised here once every started task has ended.
+    The helpers serve one process-wide queue. The caller queues a drain
+    task per helper it may use and takes slices alongside them, so it never
+    waits behind another caller's slices; a drain that starts after the
+    last slice is taken finds none and returns. Once no slice is left, the
+    caller waits for the slices the helpers took, so no ``fn`` runs after
+    this returns. If ``fn`` raises, on any thread, the first of its
+    exceptions is raised here.
     """
     threads = min(_slice_threads(), n)
     if threads <= 1:
         for i in range(n):
             fn(i)
         return
-    from concurrent.futures import wait
-
     slices = iter(range(n))
-    take = threading.Lock()
+    done = threading.Condition()
+    running = 0  # slices taken and not yet finished
+    errors = []
 
     def drain():
+        nonlocal running
         while True:
-            with take:
-                i = next(slices, None)
-            if i is None:
-                return
-            fn(i)
+            with done:
+                # after a failure no further slice is started
+                i = None if errors else next(slices, None)
+                if i is None:
+                    return
+                running += 1
+            try:
+                fn(i)
+            except BaseException as err:  # raised on the calling thread below
+                errors.append(err)
+            with done:
+                running -= 1
+                done.notify_all()
 
-    pool = _slice_pool(threads)
-    tasks = [pool.submit(drain) for _ in range(threads - 1)]
-    try:
-        drain()
-    finally:
-        started = [t for t in tasks if not t.cancel()]
-        wait(started)
-    for task in started:
-        task.result()
+    tasks = _task_queue()
+    for _ in range(threads - 1):
+        tasks.put(drain)
+    drain()
+    with done:
+        done.wait_for(lambda: running == 0)
+    if errors:
+        raise errors[0]
 
 
 def _spectral_stack(a: Tensor3) -> np.ndarray:
@@ -129,8 +156,18 @@ def _spectral_stack(a: Tensor3) -> np.ndarray:
     return np.moveaxis(np.fft.rfft(a, axis=2), 2, 0)
 
 
-def _from_spectral_stack(stack: np.ndarray, n3: int) -> Tensor3:
-    return np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2)
+def _from_spectral_stack(stack: np.ndarray, n3: int, out: Tensor3 | None = None) -> Tensor3:
+    """irfft along mode 3 of the frequency-major ``stack``. With ``out``,
+    written there block by block of rows (about ``SLAB_ENTRIES`` entries),
+    so that no full-size temporary is made; each tube's irfft is the same
+    as in the whole-array call."""
+    tubes = np.moveaxis(stack, 0, 2)
+    if out is None:
+        return np.fft.irfft(tubes, n=n3, axis=2)
+    step = max(1, SLAB_ENTRIES // max(1, out.shape[1] * n3))
+    for lo in range(0, out.shape[0], step):
+        out[lo:lo + step] = np.fft.irfft(tubes[lo:lo + step], n=n3, axis=2)
+    return out
 
 
 def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
@@ -232,10 +269,15 @@ def _gram_svt(m: np.ndarray, tau: float) -> np.ndarray | None:
     w = 1.0 - tau / np.sqrt(lam[first:])
     if wide:
         return (vk * w) @ (vk.conj().T @ m)
-    return (m @ vk) @ (w[:, None] * vk.conj().T)
+    b = vk.conj().T
+    if np.iscomplexobj(b):
+        b *= w[:, None]  # in place: a complex conjugate is a copy already
+    else:
+        b = w[:, None] * b  # a real v's conjugate is v itself
+    return (m @ vk) @ b
 
 
-def svt(x: Tensor3, tau: float) -> Tensor3:
+def svt(x: Tensor3, tau: float, out: Tensor3 | None = None) -> Tensor3:
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
 
@@ -250,10 +292,16 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     eps * sigma_1 / tau. Otherwise, and whenever ``eigh`` fails, the
     slice's SVD is used. The slices are shrunk by ``_each_slice``, in place
     in the spectral stack; the result does not depend on its thread count.
+
+    With ``out``, a float64 array of x's shape that does not overlap x, the
+    result is written there instead of into a new array. x is never
+    written.
     """
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
+    if out is not None:
+        check_out(x, out)
     n3 = x.shape[2]
     fx = _spectral_stack(x)
     gram_limit = (GRAM_COND * tau) ** 2
@@ -273,5 +321,5 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
         fx[i] = shrunk
 
     _each_slice(shrink, fx.shape[0])
-    return _from_spectral_stack(fx, n3)
+    return _from_spectral_stack(fx, n3, out)
 

@@ -13,9 +13,12 @@ even entries followed by its odd entries reversed, take a real FFT, and
 rotate coefficient k by exp(-i pi k / 2n). Coefficient k is then the real
 part and coefficient n - k minus the imaginary part of the same rotated
 value. The inverse runs that route backwards through ``irfft``. Each mode
-is transformed slab by slab into the result array, so the result is the
-only full-size allocation and the work buffers stay in cache; ``dct3`` can
-write into a given array instead.
+is transformed slab by slab into the result array, so the work buffers stay
+in cache; ``dct3`` and ``idct3`` can write into a given array instead of a
+new one. The slab buffers are not free on small tensors: a slab of
+``SLAB_ENTRIES`` entries is half of a 64x64x16 tensor, and a mode-1 slab is
+copied once more by its reshape, so a call's own temporaries measured 0.50
+tensor sizes on 64x64x32 and 1.00 on 64x64x16 and 48x40x24.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import functools
 
 import numpy as np
 
-from .errors import ParameterError
-from .tensor_core import Tensor3, astensor3
+from .tensor_core import Tensor3, astensor3, check_out
 
 # Longest mode that takes the DCT-matrix kernel; longer modes take the FFT
 # route. Timed on one core with one OpenBLAS thread, on ~110k-entry tensors
@@ -144,9 +146,8 @@ def _dct3(a, inverse: bool, out=None) -> Tensor3:
     a = astensor3(a)
     if out is None:
         out = np.empty(a.shape)
-    elif out.shape != a.shape or out.dtype != np.float64 or np.may_share_memory(a, out):
-        raise ParameterError("out must be a float64 array of the input's shape that does not "
-                             "overlap it")
+    else:
+        check_out(a, out)
     if out.size == 0:
         return out
     src = a
@@ -169,6 +170,6 @@ def dct3(a: Tensor3, out: Tensor3 | None = None) -> Tensor3:
     return _dct3(a, inverse=False, out=out)
 
 
-def idct3(e: Tensor3) -> Tensor3:
-    """Inverse of :func:`dct3`."""
-    return _dct3(e, inverse=True)
+def idct3(e: Tensor3, out: Tensor3 | None = None) -> Tensor3:
+    """Inverse of :func:`dct3`; ``out`` as for :func:`dct3`."""
+    return _dct3(e, inverse=True, out=out)

@@ -8,12 +8,15 @@ from srtd import t_algebra
 @pytest.fixture
 def slice_threads(monkeypatch):
     """Set the slice-thread count with the returned function. The test gets a
-    pool of its own, shut down when it ends."""
-    monkeypatch.setattr(t_algebra, "_pool", None)
+    task queue and helper threads of its own, stopped when it ends."""
+    monkeypatch.setattr(t_algebra, "_tasks", None)
+    monkeypatch.setattr(t_algebra, "_helpers", ())
 
     def set_threads(n):
         monkeypatch.setattr(t_algebra, "_slice_threads", lambda: n)
 
     yield set_threads
-    if t_algebra._pool is not None:
-        t_algebra._pool.shutdown(wait=True)
+    for _ in t_algebra._helpers:
+        t_algebra._tasks.put(None)
+    for thread in t_algebra._helpers:
+        thread.join(timeout=30)

@@ -4,10 +4,15 @@ sweeps, and the video path. All invocations run in-process via cli.main."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srtd
 from srtd import cli
 from srtd.errors import DivergenceError
 from srtd.evalkit import mask_from_image
@@ -80,6 +85,7 @@ def test_bad_argument_exit_codes(tmp_path):
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--mu-max", "nan"]) == 2
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--rho", "inf"]) == 2
     assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--mu-init", "inf"]) == 2
+    assert cli.main(base + ["--sr", "0.5", "--rank", "2", "--eps", "inf"]) == 2
 
 
 def test_argparse_rejects_missing_subcommand():
@@ -360,3 +366,24 @@ def test_mask_file_dim_mismatch_message(tmp_path, capsys, command):
     rc = cli.main([command, "--input", str(img_path), "--mask-file", str(mask_path)] + extra)
     assert rc == 2
     assert capsys.readouterr().err == f"srtd: error: mask {mask_path} is 3x3, input is 6x6\n"
+
+
+def test_serial_runs_load_no_thread_pool(tmp_path):
+    # concurrent.futures, and the logging it loads, cost every process
+    # about 0.5 MB and 5 ms; only a run with --jobs above 1 needs them
+    img_path = tmp_path / "toy.pgm"
+    _write_image(img_path, shape=(8, 7, 1))
+    psnr_args = ["psnr", "--input", str(img_path), "--ref", str(img_path)]
+    complete_args = ["complete", "--input", str(img_path), "--sr", "0.6", "--rank", "2",
+                     "--max-outer", "2", "--out", str(tmp_path / "o"), "--jobs", "1"]
+    code = (
+        "import sys\n"
+        "import srtd.cli\n"
+        f"assert srtd.cli.main({psnr_args!r}) == 0\n"
+        f"assert srtd.cli.main({complete_args!r}) == 0\n"
+        "print(sorted(k for k in ('concurrent.futures', 'logging') if k in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "[]"

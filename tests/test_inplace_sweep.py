@@ -99,8 +99,9 @@ def test_sweep_ignores_m_off_the_mask_and_writes_no_input():
 
 
 def test_solve_peak_memory_in_tensor_sizes(slice_threads):
-    # 48x40x24, r = 3: the allocating sweep peaked at 12.31 tensors and the
-    # in-place sweep at 9.40 (numpy 2.4, one slice thread)
+    # 48x40x24, r = 3: the allocating sweep peaked at 12.31 tensors, the
+    # in-place sweep at 9.40, and with the new x in e's spent buffer at 9.11
+    # (numpy 2.4, one slice thread)
     slice_threads(1)
     rng = np.random.default_rng(0)
     g = tproduct(rng.random((48, 3, 24)), rng.random((3, 40, 24)))
@@ -116,3 +117,26 @@ def test_solve_peak_memory_in_tensor_sizes(slice_threads):
     finally:
         tracemalloc.stop()
     assert peak <= 11.0 * g.nbytes
+
+
+def test_sweep_writes_x_into_the_spent_e_buffer(slice_threads):
+    # 64x64x32, r = 4, as the benchmark's video workload, two outer steps of
+    # 20 sweeps (numpy 2.4, one slice thread). A sweep that allocates its
+    # new x and idct3's result peaked at 10.33 tensors; with both written
+    # into e's spent buffer, and the new e into the previous x's, at 9.58
+    slice_threads(1)
+    rng = np.random.default_rng(0)
+    g = tproduct(rng.random((64, 4, 32)), rng.random((4, 64, 32)))
+    g *= 255.0 / g.max()
+    omega = rng.random(g.shape) < 0.5
+    m_obs = np.where(omega, g, 0.0)
+    cfg = SolverConfig(r=4, lam=0.01, stop_mode="absolute", max_outer=2, max_inner=20, seed=0)
+    srtd_complete(m_obs, omega, replace(cfg, max_inner=2))  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        report = srtd_complete(m_obs, omega, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.outer_iters, report.inner_iters_total) == (2, 40)
+    assert peak <= 10.0 * g.nbytes

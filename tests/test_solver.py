@@ -69,6 +69,9 @@ def test_config_defaults_and_inner_tol():
     {"r": 2, "rho": float("inf")},
     {"r": 2, "mu_init": float("inf"), "mu_max": float("inf")},
     {"r": 2, "mu_max": float("inf")},
+    # an infinite tolerance stops every solve after its first sweep
+    {"r": 2, "eps_outer": float("inf")},
+    {"r": 2, "eps_inner": float("inf")},
     # counts must be integers: a float fails late, with a TypeError
     {"r": 2.5},
     {"r": 2.0},

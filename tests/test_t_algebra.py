@@ -292,6 +292,35 @@ def test_svt_rejects_negative_threshold():
         svt(np.zeros((2, 2, 2)), -0.5)
 
 
+@_PROPERTY
+@given(n3=st.integers(1, 8), dims=st.sampled_from([(7, 4), (4, 7), (5, 5)]),
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 9, 64, 1 << 15]))
+def test_svt_into_out_is_bitwise_the_allocating_result(n3, dims, seed, block):
+    # tall, wide and square slices; at tau = 1e-2 the zero-frequency slice
+    # takes the SVD and the others eigh. The irfft into out runs in row
+    # blocks of about ``block`` entries
+    x = _mixed_route_input((*dims, n3), seed)
+    x_before = x.copy()
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, counts, "eigh", "svd")
+        mp.setattr(t_algebra, "SLAB_ENTRIES", block)
+        for tau in (0.0, 1e-2, 0.3 * smax, 2.0 * smax):
+            out = np.full(x.shape, np.nan)
+            assert svt(x, tau, out=out) is out
+            assert np.array_equal(out, svt(x, tau))
+    assert np.array_equal(x, x_before)
+    assert counts["eigh"] >= 1 and counts["svd"] >= 1
+
+
+def test_svt_rejects_an_out_it_cannot_fill():
+    x = np.zeros((4, 3, 2))
+    for out in (x, x[:, :, ::-1], np.empty((4, 3, 3)), np.empty((4, 3, 2), np.float32)):
+        with pytest.raises(ParameterError):
+            svt(x, 0.5, out=out)
+
+
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
 @_PROPERTY
 @given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
@@ -505,6 +534,29 @@ def test_import_starts_no_thread_and_serial_slices_start_none():
     assert out.stdout.split("\n")[:2] == ["False 1", "False 1"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs for a slice thread")
+def test_pooled_slices_load_no_thread_pool():
+    # one BLAS thread on two CPUs leaves a CPU for a slice thread; the
+    # helper threads are fed without concurrent.futures, which would load
+    # logging as well
+    code = (
+        "import sys, threading, numpy as np, srtd\n"
+        "from srtd.t_algebra import svt\n"
+        "x = np.random.default_rng(0).standard_normal((6, 5, 8))\n"
+        "svt(x, 0.5)\n"
+        "omega = np.random.default_rng(1).random(x.shape) < 0.5\n"
+        "srtd.srtd_complete(x * omega, omega, srtd.SolverConfig(r=1, max_outer=2))\n"
+        "print(threading.active_count() > 1,"
+        " sorted(k for k in ('concurrent.futures', 'logging') if k in sys.modules))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "True []"
+
+
 def _mixed_route_input(shape, seed):
     # a large tube-constant part lives in the zero-frequency slice only, so
     # at tau = 1e-2 that slice takes the SVD and the others take eigh
@@ -607,11 +659,11 @@ def test_concurrent_solves_share_the_pool(slice_threads):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_svt_completes_in_a_forked_child(slice_threads):
-    # the child inherits no pool thread, so it must build a pool of its own
+    # the child inherits no helper thread, so it must start helpers of its own
     slice_threads(2)
     x = np.random.default_rng(25).standard_normal((6, 5, 8))
-    expected = svt(x, 0.5)  # makes the parent's pool
-    assert t_algebra._pool is not None
+    expected = svt(x, 0.5)  # starts the parent's helper
+    assert t_algebra._tasks is not None and len(t_algebra._helpers) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
         pid = os.fork()

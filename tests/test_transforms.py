@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srtd import t_algebra
 from srtd.errors import DimensionError, ParameterError
 from srtd.t_algebra import _from_spectral_stack, _slice, _spectral_stack
 from srtd.tensor_core import fro_norm
@@ -94,6 +95,24 @@ def test_idft_known_tube():
 def test_idft_zero_spectrum():
     zero = np.zeros((2, 2, 2), dtype=complex)  # the n3 // 2 + 1 = 2 slices of n3 = 3
     assert np.array_equal(_from_spectral_stack(zero, 3), np.zeros((2, 2, 3)))
+
+
+@_PROPERTY
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64, 1 << 15]))
+def test_idft_into_out_is_bitwise_the_allocating_result(n1, n2, n3, seed, block):
+    # an arbitrary complex stack, frequency-major as a view, the way svt
+    # holds it; the irfft into out runs in row blocks of about ``block``
+    # entries, and each tube must come out as in the whole-array irfft
+    rng = np.random.default_rng(seed)
+    nf = n3 // 2 + 1
+    stack = np.moveaxis(rng.standard_normal((n1, n2, nf)) + 1j * rng.standard_normal((n1, n2, nf)),
+                        2, 0)
+    out = np.full((n1, n2, n3), np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(t_algebra, "SLAB_ENTRIES", block)
+        assert _from_spectral_stack(stack, n3, out=out) is out
+    assert np.array_equal(out, _from_spectral_stack(stack, n3))
 
 
 def test_dct_constant_tensor_has_single_dc_coefficient():
@@ -227,13 +246,15 @@ def test_dct_of_empty_tensor_is_empty():
 def test_dct_into_out_is_bitwise_the_allocating_result(shape):
     # both kernels, with the long mode in each position
     a = np.random.default_rng(sum(shape)).standard_normal(shape)
-    out = np.full(shape, np.nan)
-    assert dct3(a, out=out) is out
-    assert np.array_equal(out, dct3(a))
+    for f in (dct3, idct3):
+        out = np.full(shape, np.nan)
+        assert f(a, out=out) is out
+        assert np.array_equal(out, f(a))
 
 
 def test_dct_rejects_an_out_it_cannot_fill():
     a = np.zeros((4, 3, 2))
-    for out in (a, a[:, :, ::-1], np.empty((4, 3, 3)), np.empty((4, 3, 2), np.float32)):
-        with pytest.raises(ParameterError):
-            dct3(a, out=out)
+    for f in (dct3, idct3):
+        for out in (a, a[:, :, ::-1], np.empty((4, 3, 3)), np.empty((4, 3, 2), np.float32)):
+            with pytest.raises(ParameterError):
+                f(a, out=out)
