@@ -23,11 +23,11 @@ step. The sweep updates W, Y and Z in place, through one work buffer. E is
 rebuilt from dct3(X) and Z alone, so once the X-update has formed
 E + Z/mu the E buffer is spent: idct3's result and then the new X are
 written into it, and the new E into the previous X's buffer. After a
-call's first sweep, no sweep with the E-term allocates a full-size iterate.
+call's first sweep, no sweep allocates a full-size iterate.
 
-Setting ``sparse_term=False`` removes the E/Z machinery entirely (the pure
-truncated-nuclear-norm baseline); with lambda = 0 the full model collapses
-to the same iterates up to transform round-off.
+With lambda = 0 (plain TNNR) and Z = 0 on entry, E = dct3(X) and Z = 0
+after every sweep, so the inner loop skips the E/Z steps, uses the previous
+X for idct3(E + Z/mu), and sets E = dct3(X) once at the end of the call.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _check_mask(omega, shape) -> np.ndarray:
 
 
 def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
-               warm: SolverState | None = None, sparse_term: bool = True) -> SolverState:
+               warm: SolverState | None = None) -> SolverState:
     """Inner ADMM for fixed truncated factors.
 
     ``m`` is read only on ``omega``; its other entries may hold anything.
@@ -217,10 +217,10 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     [0,1). Stops when the iterate change passes cfg's inner test or
     max_inner is hit. Raises DivergenceError if an iterate goes non-finite.
 
-    With ``sparse_term=False`` the E/Z steps are skipped and the X-update's
-    idct3(e + z/mu) is taken to be the previous x, which is what it equals
-    after any sweep with lam = 0. The first sweep of a cold start still
-    computes it from e = z = 0.
+    With cfg.lam = 0 and z all zero on entry (a cold start, or any state
+    such a call returns), the E/Z steps are skipped: after the first sweep
+    idct3(e + z/mu) is taken to be the previous x, which it equals up to
+    round-off, and e = dct3(x) is set at the end; z stays 0.
     """
     m = astensor3(m, "m")
     omega = _check_mask(omega, m.shape)
@@ -236,20 +236,17 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         state = warm
     state.inner_iter = 0
     grad = tproduct(ttranspose(a_k), b_k)
+    skip_ez = cfg.lam == 0 and not state.z.any()
     # One work buffer per solve. The updates write into it and into the
     # state's buffers, in the same operations, in the same order, as their
-    # allocating forms. With the sparse term, the new x takes e's buffer
-    # and the new e the previous x's; without it, svt allocates each new x
-    # and the work buffer takes over the previous one.
+    # allocating forms. The new x takes e's buffer and e the previous x's.
     work = np.empty(m.shape)
     owned = warm is None  # whether this call made the x it starts from
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
-        # only a cold start's first sweep reads e = z = 0 (see the docstring)
-        cold = warm is None and t == 1
-        state.x = x = update_x(state, cfg, None if sparse_term or cold else x_prev, work,
-                               out=state.e if sparse_term else None)
+        state.x = x = update_x(state, cfg, x_prev if skip_ez and t > 1 else None, work,
+                               out=state.e)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
@@ -259,15 +256,15 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         # the previous x is dead unless the caller keeps it (a warm start's x)
         spare = x_prev if owned else None
         owned = True
-        if sparse_term:
+        if skip_ez:
+            state.e = np.empty(m.shape) if spare is None else spare
+        else:
             dx = dct3(x, out=work)
             state.e = update_e(state, cfg, dx, out=spare)
             # z += mu (e - dx), with the product formed in dx's buffer
             np.subtract(state.e, dx, out=dx)
             dx *= state.mu
             state.z += dx
-        elif spare is not None:
-            work = spare  # the old work buffer is freed
         update_w(state, cfg, m, omega, grad, out=state.w)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
@@ -279,6 +276,9 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
         state.inner_iter = t
         if delta <= cfg.inner_tol:
             break
+    if skip_ez:
+        del work  # not held through dct3, whose temporaries take about a tensor
+        dct3(state.x, out=state.e)
     return state
 
 
@@ -286,7 +286,7 @@ def _surrogate(x, a_k, b_k, lam) -> float:
     return tnn(x) - trace_pair(tproduct(a_k, x), ttranspose(b_k)) + lam * l1_norm(dct3(x))
 
 
-def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True) -> SolveReport:
+def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
     """Complete tensor ``m`` observed on ``omega``.
 
     Outer alternation: take the cfg.r leading T-SVD factors of the current
@@ -321,7 +321,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
         else:
             state.outer_iter = k
         try:
-            state = admm_solve(m, omega, a_k, b_k, cfg, warm=state, sparse_term=sparse_term)
+            state = admm_solve(m, omega, a_k, b_k, cfg, warm=state)
         except DivergenceError as err:
             raise DivergenceError(
                 f"solver diverged at outer step {k}, inner step {err.inner_iter}",
@@ -342,9 +342,8 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True
 
     trace.append(_surrogate(x_cur, a_k, b_k, cfg.lam))
     recovered = np.where(omega, m, state.x)
-    # without the sparsity term there is no E-constraint, so its gap is 0
-    e_gap = fro_norm(state.e - dct3(state.x)) if sparse_term else 0.0
-    residuals = (fro_norm(state.x - state.w), e_gap, float(delta))
+    residuals = (fro_norm(state.x - state.w), fro_norm(state.e - dct3(state.x)),
+                 float(delta))
     return SolveReport(
         recovered=recovered,
         outer_iters=outer_done,

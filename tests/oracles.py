@@ -191,11 +191,11 @@ def truncate_factors(f: TSvdFactors, r: int):
 # The allocating ADMM sweep: every update builds new arrays and a warm
 # state's fields are rebound, never written. srtd.solver runs the same
 # floating-point operations in the same order in place, so its iterates
-# must equal these bitwise.
+# must equal these bitwise, except where it skips the E/Z steps at
+# lambda = 0, which moves them by transform round-off.
 
-def _update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
-    if back is None:
-        back = idct3(state.e + state.z / state.mu)
+def _update_x(state: SolverState, cfg: SolverConfig) -> Tensor3:
+    back = idct3(state.e + state.z / state.mu)
     avg = 0.5 * (state.w - state.y / state.mu + back)
     return svt(avg, 1.0 / (2.0 * state.mu))
 
@@ -210,8 +210,7 @@ def _update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Te
 
 
 def reference_admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
-                         warm: SolverState | None = None,
-                         sparse_term: bool = True) -> SolverState:
+                         warm: SolverState | None = None) -> SolverState:
     """``srtd.solver.admm_solve`` with allocating updates; ``m`` must be
     zero-filled off ``omega``."""
     m = astensor3(m, "m")
@@ -229,15 +228,13 @@ def reference_admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: Sol
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
-        cold = warm is None and t == 1
-        state.x = _update_x(state, cfg, None if sparse_term or cold else x_prev)
+        state.x = _update_x(state, cfg)
         if not np.isfinite(state.x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        if sparse_term:
-            dx = dct3(state.x)
-            state.e = _update_e(state, cfg, dx)
-            state.z = state.z + state.mu * (state.e - dx)
+        dx = dct3(state.x)
+        state.e = _update_e(state, cfg, dx)
+        state.z = state.z + state.mu * (state.e - dx)
         state.w = _update_w(state, cfg, m, omega, grad)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
@@ -254,7 +251,7 @@ def reference_admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: Sol
     return state
 
 
-def reference_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool = True):
+def reference_complete(m: Tensor3, omega, cfg: SolverConfig):
     """``srtd.solver.srtd_complete``'s outer loop over
     :func:`reference_admm_solve`, holding the zero-filled observation
     throughout: (recovered, objective trace, final residuals, outer steps,
@@ -268,8 +265,7 @@ def reference_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool =
         trace.append(solver._surrogate(x_cur, a_k, b_k, cfg.lam))
         if state is not None:
             state.outer_iter = k
-        state = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=state,
-                                     sparse_term=sparse_term)
+        state = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=state)
         state.outer_iter = k
         inner_total += state.inner_iter
         outer_done = k
@@ -280,6 +276,5 @@ def reference_complete(m: Tensor3, omega, cfg: SolverConfig, sparse_term: bool =
         if delta <= cfg.eps_outer:
             break
     trace.append(solver._surrogate(x_cur, a_k, b_k, cfg.lam))
-    e_gap = fro_norm(state.e - dct3(state.x)) if sparse_term else 0.0
-    residuals = (fro_norm(state.x - state.w), e_gap, float(delta))
+    residuals = (fro_norm(state.x - state.w), fro_norm(state.e - dct3(state.x)), float(delta))
     return np.where(omega, m, state.x), tuple(trace), residuals, outer_done, inner_total

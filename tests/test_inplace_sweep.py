@@ -1,6 +1,7 @@
 """The in-place ADMM sweep: bitwise equal to the allocating reference in
-``oracles.py``, blind to the data off the mask, never writing its inputs or
-a warm start's x, and bounded in peak memory."""
+``oracles.py`` (a round-off away where lambda = 0 skips the E/Z steps),
+blind to the data off the mask, never writing its inputs or a warm start's
+x, and bounded in peak memory."""
 
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 
 from srtd.solver import SolverConfig, SolverState, admm_solve, srtd_complete
 from srtd.t_algebra import tproduct, tsvd_leading
-from srtd.tensor_core import ttranspose
+from srtd.tensor_core import fro_norm, ttranspose
 
 from oracles import reference_admm_solve, reference_complete
 
@@ -41,6 +42,19 @@ def _copy(state: SolverState) -> SolverState:
     return replace(state, **{f: getattr(state, f).copy() for f in "xweyz"})
 
 
+def _near(a, b) -> bool:
+    return fro_norm(a - b) <= 1e-12 * fro_norm(b)
+
+
+def _near_state(a: SolverState, b: SolverState) -> bool:
+    # the lambda = 0 sweep skips the E/Z steps, a round-off away from the
+    # reference; y gathers that round-off in steps of mu (x - w)
+    return (all(_near(getattr(a, f), getattr(b, f)) for f in "xwe")
+            and fro_norm(a.y - b.y) <= 1e-12 * b.mu * fro_norm(b.x)
+            and not a.z.any() and not b.z.any()
+            and a.mu == b.mu and a.inner_iter == b.inner_iter)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("dims", [(9, 6), (6, 9)], ids=["tall", "wide"])
@@ -49,29 +63,35 @@ def test_sweep_is_bitwise_the_allocating_reference(slice_threads, threads, n3, d
     g, omega = _instance((*dims, n3), seed=10 * n3 + dims[0])
     m_obs = np.where(omega, g, 0.0)
     a_k, b_k = _factors(m_obs, 2)
-    for sparse_term in (True, False):
+    for lam in (0.02, 0.0):
+        same = _same_state if lam else _near_state
         for stop_mode in ("relative", "absolute"):
             # 16 sweeps per call, cold and then warm: a buffer that goes
             # stale after the first sweep, or after a call, shows here
-            cfg = SolverConfig(r=2, lam=0.02, mu_init=1e-2, eps_inner=1e-30, max_inner=16,
+            cfg = SolverConfig(r=2, lam=lam, mu_init=1e-2, eps_inner=1e-30, max_inner=16,
                                stop_mode=stop_mode, seed=n3)
             ref = new = None
             for _ in range(2):
-                ref = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=ref,
-                                           sparse_term=sparse_term)
-                new = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=new, sparse_term=sparse_term)
-                assert _same_state(new, ref)
+                ref = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=ref)
+                new = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=new)
+                assert same(new, ref)
             # the whole solve, with the inner and outer stop tests live
-            cfg = SolverConfig(r=2, lam=0.02, mu_init=1e-2, max_outer=4, eps_inner=1e-4,
+            cfg = SolverConfig(r=2, lam=lam, mu_init=1e-2, max_outer=4, eps_inner=1e-4,
                                stop_mode=stop_mode, seed=n3)
-            recovered, trace, residuals, outer, inner = reference_complete(g, omega, cfg,
-                                                                           sparse_term)
-            report = srtd_complete(g, omega, cfg, sparse_term)
-            assert np.array_equal(report.recovered, recovered)
-            assert report.objective_trace == trace
-            assert report.final_residuals == residuals
+            recovered, trace, residuals, outer, inner = reference_complete(g, omega, cfg)
+            report = srtd_complete(g, omega, cfg)
             assert (report.outer_iters, report.inner_iters_total) == (outer, inner)
             assert inner >= 15
+            if lam:
+                assert np.array_equal(report.recovered, recovered)
+                assert report.objective_trace == trace
+                assert report.final_residuals == residuals
+            else:
+                assert _near(report.recovered, recovered)
+                assert np.allclose(report.objective_trace, trace, rtol=1e-11, atol=0)
+                assert report.final_residuals[1] == residuals[1] == 0.0
+                assert np.allclose(report.final_residuals, residuals, rtol=0,
+                                   atol=1e-12 * fro_norm(recovered))
 
 
 def test_sweep_ignores_m_off_the_mask_and_writes_no_input():
@@ -123,20 +143,23 @@ def test_sweep_writes_x_into_the_spent_e_buffer(slice_threads):
     # 64x64x32, r = 4, as the benchmark's video workload, two outer steps of
     # 20 sweeps (numpy 2.4, one slice thread). A sweep that allocates its
     # new x and idct3's result peaked at 10.33 tensors; with both written
-    # into e's spent buffer, and the new e into the previous x's, at 9.58
+    # into e's spent buffer, and the new e into the previous x's, at 9.58;
+    # at lambda = 0, with the E/Z steps skipped, also at 9.58
     slice_threads(1)
     rng = np.random.default_rng(0)
     g = tproduct(rng.random((64, 4, 32)), rng.random((4, 64, 32)))
     g *= 255.0 / g.max()
     omega = rng.random(g.shape) < 0.5
     m_obs = np.where(omega, g, 0.0)
-    cfg = SolverConfig(r=4, lam=0.01, stop_mode="absolute", max_outer=2, max_inner=20, seed=0)
-    srtd_complete(m_obs, omega, replace(cfg, max_inner=2))  # lazy imports and caches
-    tracemalloc.start()
-    try:
-        report = srtd_complete(m_obs, omega, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (report.outer_iters, report.inner_iters_total) == (2, 40)
-    assert peak <= 10.0 * g.nbytes
+    for lam in (0.01, 0.0):
+        cfg = SolverConfig(r=4, lam=lam, stop_mode="absolute", max_outer=2, max_inner=20,
+                           seed=0)
+        srtd_complete(m_obs, omega, replace(cfg, max_inner=2))  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            report = srtd_complete(m_obs, omega, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.outer_iters, report.inner_iters_total) == (2, 40)
+        assert peak <= 10.0 * g.nbytes

@@ -2,9 +2,12 @@
 loop, and the outer completion driver."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srtd import solver
 from srtd.errors import DimensionError, DivergenceError, ParameterError
@@ -24,7 +27,9 @@ from srtd.t_algebra import svt, tproduct, trace_pair
 from srtd.tensor_core import fro_norm, l1_norm, ttranspose
 from srtd.transforms import dct3, idct3
 
-from oracles import identity_tensor, truncate_factors, tsvd
+from oracles import identity_tensor, reference_admm_solve, truncate_factors, tsvd
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def _make_state(rng, shape, mu=0.37):
@@ -367,33 +372,63 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
     counted("dct3")
     counted("tproduct")
     g, omega = _low_rank_instance(22, 10, 2, 3, 0.6)
-    report = srtd_complete(g, omega, SolverConfig(r=2, seed=22, max_outer=3))
-    outer, sweeps = report.outer_iters, report.inner_iters_total
-    assert sweeps > outer
-    # sweeps, one surrogate per outer step and at the end, the final DCT residual
-    assert calls["dct3"] == sweeps + outer + 2
-    # the W-gradient and the surrogate per outer step, the final surrogate
-    assert calls["tproduct"] == 2 * outer + 1
+    for lam in (0.05, 0.0):
+        calls.clear()
+        report = srtd_complete(g, omega, SolverConfig(r=2, lam=lam, seed=22, max_outer=3))
+        outer, sweeps = report.outer_iters, report.inner_iters_total
+        assert sweeps > outer
+        # per sweep with lam > 0, or per call at lam = 0 where the E/Z steps
+        # are skipped; one surrogate per outer step and at the end; the
+        # final DCT residual
+        assert calls["dct3"] == (sweeps if lam else outer) + outer + 2
+        # the W-gradient and the surrogate per outer step, the final surrogate
+        assert calls["tproduct"] == 2 * outer + 1
 
 
-def test_no_sparse_term_matches_zero_lambda_over_many_sweeps():
-    # acceptance check 09 runs one sweep per call; here the no-sparsity
-    # path's back-term must follow the new x through cold and warm solves
-    g, omega = _low_rank_instance(22, 10, 2, 3, 0.6)
+@_PROPERTY
+@given(n1=st.integers(2, 8), n2=st.integers(2, 8), n3=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_zero_lambda_matches_the_full_ez_loop(n1, n2, n3, seed):
+    # at lam = 0 with z = 0 the solver skips the E/Z steps that the oracle
+    # runs, cold and then warm, and leaves the state those steps would
+    rng = np.random.default_rng(seed)
+    g = tproduct(rng.standard_normal((n1, 2, n3)), rng.standard_normal((2, n2, n3)))
+    g *= 255.0 / np.abs(g).max()
+    omega = rng.random(g.shape) < 0.6
+    omega[0, 0, 0] = True
+    m_obs = apply_mask(g, omega)
+    a_k, b_k = truncate_factors(tsvd(m_obs), 1)
+    cfg = SolverConfig(r=1, lam=0.0, mu_init=1e-2, max_inner=12, eps_inner=1e-30, seed=seed)
+    ref = new = None
+    for _ in range(2):
+        ref = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=ref)
+        new = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=new)
+        assert new.inner_iter == ref.inner_iter
+        assert fro_norm(new.x - ref.x) <= 1e-12 * fro_norm(ref.x)
+        assert np.array_equal(new.e, dct3(new.x))
+        assert not new.z.any()
+
+
+def test_zero_lambda_continues_a_sparse_state_exactly():
+    # a lam > 0 state carries z != 0, so idct3(e + z/mu) is not the
+    # previous x: the E/Z steps run, as in the oracle
+    g, omega = _low_rank_instance(23, 10, 2, 3, 0.6)
     m_obs = apply_mask(g, omega)
     a_k, b_k = truncate_factors(tsvd(m_obs), 2)
-    cfg = SolverConfig(r=2, lam=0.0, max_inner=15, eps_inner=1e-30, seed=22)
-    with_term = without_term = None
+    cfg = SolverConfig(r=2, lam=0.05, mu_init=1e-2, max_inner=15, eps_inner=1e-30, seed=23)
+    ref = reference_admm_solve(m_obs, omega, a_k, b_k, cfg)
+    new = admm_solve(m_obs, omega, a_k, b_k, cfg)
+    assert new.z.any()
+    cfg = replace(cfg, lam=0.0)
     for _ in range(2):
-        with_term = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=with_term, sparse_term=True)
-        without_term = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=without_term,
-                                  sparse_term=False)
-        assert with_term.inner_iter == without_term.inner_iter == 15
-        assert fro_norm(with_term.x - without_term.x) <= 1e-12 * fro_norm(with_term.x)
+        ref = reference_admm_solve(m_obs, omega, a_k, b_k, cfg, warm=ref)
+        new = admm_solve(m_obs, omega, a_k, b_k, cfg, warm=new)
+        assert new.inner_iter == ref.inner_iter == 15
+        assert np.array_equal(new.x, ref.x)
 
 
-def test_complete_without_sparse_term():
+def test_complete_zero_lambda_dct_residual_is_zero():
     g, omega = _low_rank_instance(21, 10, 2, 3, 0.6)
-    report = srtd_complete(g, omega, SolverConfig(r=2, lam=0.0, seed=21), sparse_term=False)
+    report = srtd_complete(g, omega, SolverConfig(r=2, lam=0.0, seed=21))
     assert report.final_residuals[1] == 0.0
     assert np.array_equal(report.recovered[omega], g[omega])
