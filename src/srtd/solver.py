@@ -19,11 +19,13 @@ All updates are closed-form:
 
 Z reads only E, X, Z and mu, so it follows E directly and shares its
 dct3(X); a_k^T * b_k is fixed within an outer step and computed once per
-step. The sweep updates W, Y and Z in place, through one work buffer. E is
-rebuilt from dct3(X) and Z alone, so once the X-update has formed
-E + Z/mu the E buffer is spent: idct3's result and then the new X are
-written into it, and the new E into the previous X's buffer. After a
-call's first sweep, no sweep allocates a full-size iterate.
+step. The sweep updates W, Y and Z in place and needs no work buffer. The
+X-update forms its argument in W's buffer and idct3(E + Z/mu) in E's, so
+both are spent before the SVT: W is rebuilt from X and Y alone, and E
+from dct3(X) and Z. E's buffer is released before the SVT, which
+allocates the new X only once its slices are shrunk. The iterate change,
+dct3(X) and the Z-update then use W's buffer before the W-update refills
+it, and the new E goes into the previous X's buffer.
 
 With lambda = 0 (plain TNNR) and Z = 0 on entry, E = dct3(X) and Z = 0
 after every sweep, so the inner loop skips the E/Z steps, uses the previous
@@ -136,28 +138,44 @@ def soft_threshold(x, tau):
     return x - np.clip(x, -tau, tau)
 
 
-def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None,
-             work: Tensor3 | None = None, out: Tensor3 | None = None) -> Tensor3:
+def _rows(a: np.ndarray):
+    """Slices that cut the first axis of ``a`` into slabs of about
+    ``SLAB_ENTRIES`` entries, so that a slab's temporaries stay small."""
+    step = max(1, SLAB_ENTRIES // max(1, a[0].size))
+    return [slice(lo, lo + step) for lo in range(0, a.shape[0], step)]
+
+
+def _add_scaled_difference(y: Tensor3, x: Tensor3, w: Tensor3, mu: float) -> None:
+    """y += mu (x - w), a slab at a time, in the operations and order of
+    ``y + mu * (x - w)``; the last slab's temporary dies with the call
+    instead of living through the next sweep's SVT."""
+    for s in _rows(y):
+        step = np.subtract(x[s], w[s])
+        step *= mu
+        np.add(y[s], step, out=y[s])
+
+
+def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
     """X-update; ``back`` stands in for idct3(e + z/mu) when given.
 
-    The SVT's argument is formed in ``work``, a float64 array of x's shape
-    that the call overwrites, or in a new array without it. With ``out``,
-    a float64 array of x's shape that overlaps neither ``work`` nor
-    ``back``, the back-term (when computed here) and then the new x are
-    written there, and ``out`` is returned; it may be state.e, which is
-    then spent. Nothing else of the state is modified."""
-    if work is None:
-        work = np.empty(state.w.shape)
+    The SVT's argument is formed in state.w's buffer, and idct3(e + z/mu),
+    when computed here, in state.e's; both are overwritten. state.e is set
+    to None before the SVT, so that its buffer can be freed while the
+    slices are shrunk. Returns the new x, a new array; y and z are not
+    modified."""
+    w, e = state.w, state.e
+    state.e = None
+    for s in _rows(w):
+        if back is None:
+            np.add(e[s], state.z[s] / state.mu, out=e[s])
+        np.subtract(w[s], state.y[s] / state.mu, out=w[s])
     if back is None:
-        np.divide(state.z, state.mu, out=work)
-        np.add(state.e, work, out=work)
-        back = idct3(work, out=out)
-    np.divide(state.y, state.mu, out=work)
-    np.subtract(state.w, work, out=work)
-    work += back
+        back = idct3(e, out=e)
+    del e
+    w += back
     del back  # not held through the SVT, which may shrink several slices at once
-    work *= 0.5
-    return svt(work, 1.0 / (2.0 * state.mu), out=out)
+    w *= 0.5
+    return svt(w, 1.0 / (2.0 * state.mu))
 
 
 def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
@@ -169,10 +187,9 @@ def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
     np.subtract(dx, e, out=e)
     # soft_threshold in place, a slab at a time so that clip's result stays small
     tau = cfg.lam / state.mu
-    step = max(1, SLAB_ENTRIES // max(1, e[0].size))
-    for lo in range(0, e.shape[0], step):
-        s = e[lo:lo + step]
-        s -= np.clip(s, -tau, tau)
+    for s in _rows(e):
+        es = e[s]
+        es -= np.clip(es, -tau, tau)
     return e
 
 
@@ -210,12 +227,13 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     ``m`` is read only on ``omega``; its other entries may hold anything.
     ``warm`` continues a previous state (duals and mu included) and is
     returned, with its w, y and z updated in place and its x and e rebound:
-    the array it held as e is overwritten and may come back as x, and the
-    array it held as x is never written, so a caller may keep it. If the
-    call raises, the state's e holds no E iterate. Without ``warm``,
-    x = w = m on omega and 0 elsewhere, e = z = 0, and y is seeded uniform
-    [0,1). Stops when the iterate change passes cfg's inner test or
-    max_inner is hit. Raises DivergenceError if an iterate goes non-finite.
+    the array it held as e is overwritten and then dropped, and the array
+    it held as x is never written, so a caller may keep it. If the call
+    raises, the state's e holds no E iterate and may be None. Without
+    ``warm``, x = w = m on omega and 0 elsewhere, e = z = 0, and y is
+    seeded uniform [0,1). Stops when the iterate change passes cfg's inner
+    test or max_inner is hit. Raises DivergenceError if an iterate goes
+    non-finite.
 
     With cfg.lam = 0 and z all zero on entry (a cold start, or any state
     such a call returns), the E/Z steps are skipped: after the first sweep
@@ -237,48 +255,43 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     state.inner_iter = 0
     grad = tproduct(ttranspose(a_k), b_k)
     skip_ez = cfg.lam == 0 and not state.z.any()
-    # One work buffer per solve. The updates write into it and into the
-    # state's buffers, in the same operations, in the same order, as their
-    # allocating forms. The new x takes e's buffer and e the previous x's.
-    work = np.empty(m.shape)
+    # The updates write into the state's buffers, in the same operations,
+    # in the same order, as their allocating forms. w's buffer holds the
+    # SVT's argument, then the iterate change and dct3(x), until the
+    # W-update refills it; e takes the previous x's buffer.
     owned = warm is None  # whether this call made the x it starts from
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
-        state.x = x = update_x(state, cfg, x_prev if skip_ez and t > 1 else None, work,
-                               out=state.e)
+        state.x = x = update_x(state, cfg, x_prev if skip_ez and t > 1 else None)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        delta = fro_norm(np.subtract(x, x_prev, out=work))
+        w = state.w
+        delta = fro_norm(np.subtract(x, x_prev, out=w))
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(x))
         # the previous x is dead unless the caller keeps it (a warm start's x)
-        spare = x_prev if owned else None
+        state.e = x_prev if owned else None
         owned = True
-        if skip_ez:
-            state.e = np.empty(m.shape) if spare is None else spare
-        else:
-            dx = dct3(x, out=work)
-            state.e = update_e(state, cfg, dx, out=spare)
+        if not skip_ez:
+            dx = dct3(x, out=w)
+            state.e = update_e(state, cfg, dx, out=state.e)
             # z += mu (e - dx), with the product formed in dx's buffer
             np.subtract(state.e, dx, out=dx)
             dx *= state.mu
             state.z += dx
-        update_w(state, cfg, m, omega, grad, out=state.w)
-        if not np.isfinite(state.w).all():
+        update_w(state, cfg, m, omega, grad, out=w)
+        if not np.isfinite(w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        np.subtract(x, state.w, out=work)
-        work *= state.mu
-        state.y += work
+        _add_scaled_difference(state.y, x, w, state.mu)
         state.mu = update_mu(state, cfg)
         state.inner_iter = t
         if delta <= cfg.inner_tol:
             break
     if skip_ez:
-        del work  # not held through dct3, whose temporaries take about a tensor
-        dct3(state.x, out=state.e)
+        state.e = dct3(state.x, out=state.e)
     return state
 
 
@@ -341,11 +354,17 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
             break
 
     trace.append(_surrogate(x_cur, a_k, b_k, cfg.lam))
-    recovered = np.where(omega, m, state.x)
-    residuals = (fro_norm(state.x - state.w), fro_norm(state.e - dct3(state.x)),
-                 float(delta))
+    # the state is not returned, so its buffers take the last results:
+    # x - w goes in w's, dct3(x) - e (the negation, same norm) in dct3's
+    # result, and the recovered tensor in x's
+    x = state.x
+    dx = dct3(x)
+    residuals = (fro_norm(np.subtract(x, state.w, out=state.w)),
+                 fro_norm(np.subtract(dx, state.e, out=dx)), float(delta))
+    del dx
+    np.putmask(x, omega, m)
     return SolveReport(
-        recovered=recovered,
+        recovered=x,
         outer_iters=outer_done,
         inner_iters_total=inner_total,
         final_residuals=residuals,

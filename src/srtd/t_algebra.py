@@ -29,7 +29,7 @@ import threading
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensor_core import Tensor3, astensor3, check_out
+from .tensor_core import Tensor3, astensor3
 from .transforms import SLAB_ENTRIES
 
 # Largest ||A||_F / tau for which svt shrinks slice A from its Gram matrix.
@@ -156,14 +156,13 @@ def _spectral_stack(a: Tensor3) -> np.ndarray:
     return np.moveaxis(np.fft.rfft(a, axis=2), 2, 0)
 
 
-def _from_spectral_stack(stack: np.ndarray, n3: int, out: Tensor3 | None = None) -> Tensor3:
-    """irfft along mode 3 of the frequency-major ``stack``. With ``out``,
-    written there block by block of rows (about ``SLAB_ENTRIES`` entries),
-    so that no full-size temporary is made; each tube's irfft is the same
-    as in the whole-array call."""
+def _from_spectral_stack(stack: np.ndarray, n3: int) -> Tensor3:
+    """irfft along mode 3 of the frequency-major ``stack``, written into a
+    new array block by block of rows (about ``SLAB_ENTRIES`` entries), so
+    that no second full-size temporary is made; each tube's irfft is the
+    same as in the whole-array call."""
     tubes = np.moveaxis(stack, 0, 2)
-    if out is None:
-        return np.fft.irfft(tubes, n=n3, axis=2)
+    out = np.empty((*tubes.shape[:2], n3))
     step = max(1, SLAB_ENTRIES // max(1, out.shape[1] * n3))
     for lo in range(0, out.shape[0], step):
         out[lo:lo + step] = np.fft.irfft(tubes[lo:lo + step], n=n3, axis=2)
@@ -277,7 +276,7 @@ def _gram_svt(m: np.ndarray, tau: float) -> np.ndarray | None:
     return (m @ vk) @ b
 
 
-def svt(x: Tensor3, tau: float, out: Tensor3 | None = None) -> Tensor3:
+def svt(x: Tensor3, tau: float) -> Tensor3:
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
 
@@ -293,15 +292,13 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None) -> Tensor3:
     slice's SVD is used. The slices are shrunk by ``_each_slice``, in place
     in the spectral stack; the result does not depend on its thread count.
 
-    With ``out``, a float64 array of x's shape that does not overlap x, the
-    result is written there instead of into a new array. x is never
+    The result is a new array, allocated only once every slice is shrunk,
+    so that it is not held alongside the slices' temporaries. x is never
     written.
     """
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
-    if out is not None:
-        check_out(x, out)
     n3 = x.shape[2]
     fx = _spectral_stack(x)
     gram_limit = (GRAM_COND * tau) ** 2
@@ -321,5 +318,5 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None) -> Tensor3:
         fx[i] = shrunk
 
     _each_slice(shrink, fx.shape[0])
-    return _from_spectral_stack(fx, n3, out)
+    return _from_spectral_stack(fx, n3)
 

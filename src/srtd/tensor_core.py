@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
 # The universal value type; always real.
 Tensor3 = np.ndarray
@@ -22,15 +22,6 @@ def astensor3(a, name: str = "tensor") -> Tensor3:
     if out.ndim != 3:
         raise DimensionError(f"{name} must be a third-order tensor, got shape {out.shape}")
     return out
-
-
-def check_out(a: Tensor3, out: Tensor3) -> None:
-    """Raise ParameterError unless ``out`` can take a result of ``a``'s
-    shape in place of a new array: float64, of that shape, and not
-    overlapping ``a``."""
-    if out.shape != a.shape or out.dtype != np.float64 or np.may_share_memory(a, out):
-        raise ParameterError("out must be a float64 array of the input's shape that does not "
-                             "overlap it")
 
 
 def ttranspose(a: Tensor3) -> Tensor3:

@@ -15,7 +15,7 @@ part and coefficient n - k minus the imaginary part of the same rotated
 value. The inverse runs that route backwards through ``irfft``. Each mode
 is transformed slab by slab into the result array, so the work buffers stay
 in cache; ``dct3`` and ``idct3`` can write into a given array instead of a
-new one. The slab buffers are not free on small tensors: a slab of
+new one, including their input. The slab buffers are not free on small tensors: a slab of
 ``SLAB_ENTRIES`` entries is half of a 64x64x16 tensor, and a mode-1 slab is
 copied once more by its reshape, so a call's own temporaries measured 0.50
 tensor sizes on 64x64x32 and 1.00 on 64x64x16 and 48x40x24.
@@ -27,7 +27,8 @@ import functools
 
 import numpy as np
 
-from .tensor_core import Tensor3, astensor3, check_out
+from .errors import ParameterError
+from .tensor_core import Tensor3, astensor3
 
 # Longest mode that takes the DCT-matrix kernel; longer modes take the FFT
 # route. Timed on one core with one OpenBLAS thread, on ~110k-entry tensors
@@ -142,12 +143,22 @@ def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
             np.negative(wv.imag[h - 1:0:-1], out=dv[m + 1:])
 
 
+def _check_out(a: Tensor3, out: Tensor3) -> None:
+    # the kernels write whole modes through reshaped views of out, which a
+    # non-contiguous out would turn into copies; the in-place route
+    # recognizes out by identity, so any other overlap is refused
+    if (out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous
+            or (out is not a and np.may_share_memory(a, out))):
+        raise ParameterError("out must be a C-contiguous float64 array of the input's shape "
+                             "that is the input itself or does not overlap it")
+
+
 def _dct3(a, inverse: bool, out=None) -> Tensor3:
     a = astensor3(a)
     if out is None:
         out = np.empty(a.shape)
     else:
-        check_out(a, out)
+        _check_out(a, out)
     if out.size == 0:
         return out
     src = a
@@ -165,8 +176,10 @@ def _dct3(a, inverse: bool, out=None) -> Tensor3:
 def dct3(a: Tensor3, out: Tensor3 | None = None) -> Tensor3:
     """Orthonormal DCT-II along modes 1, 2, 3 (the sparsifying transform).
 
-    With ``out``, a float64 array of ``a``'s shape that does not overlap
-    ``a``, the result is written there instead of into a new array."""
+    With ``out``, a C-contiguous float64 array of ``a``'s shape that is
+    either ``a`` itself or does not overlap it, the result is written there
+    instead of into a new array; with ``out=a`` the transform runs in place
+    and gives the same bits as the allocating call."""
     return _dct3(a, inverse=False, out=out)
 
 

@@ -100,19 +100,18 @@ def test_idft_zero_spectrum():
 @_PROPERTY
 @given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64, 1 << 15]))
-def test_idft_into_out_is_bitwise_the_allocating_result(n1, n2, n3, seed, block):
+def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, block):
     # an arbitrary complex stack, frequency-major as a view, the way svt
-    # holds it; the irfft into out runs in row blocks of about ``block``
-    # entries, and each tube must come out as in the whole-array irfft
+    # holds it; the irfft runs in row blocks of about ``block`` entries,
+    # and each tube must come out as in the whole-array irfft
     rng = np.random.default_rng(seed)
     nf = n3 // 2 + 1
     stack = np.moveaxis(rng.standard_normal((n1, n2, nf)) + 1j * rng.standard_normal((n1, n2, nf)),
                         2, 0)
-    out = np.full((n1, n2, n3), np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(t_algebra, "SLAB_ENTRIES", block)
-        assert _from_spectral_stack(stack, n3, out=out) is out
-    assert np.array_equal(out, _from_spectral_stack(stack, n3))
+        blocked = _from_spectral_stack(stack, n3)
+    assert np.array_equal(blocked, np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
 
 
 def test_dct_constant_tensor_has_single_dc_coefficient():
@@ -250,11 +249,22 @@ def test_dct_into_out_is_bitwise_the_allocating_result(shape):
         out = np.full(shape, np.nan)
         assert f(a, out=out) is out
         assert np.array_equal(out, f(a))
+        # in place, where the first mode also runs slab by slab
+        b = a.copy()
+        assert f(b, out=b) is b
+        assert np.array_equal(b, f(a))
 
 
 def test_dct_rejects_an_out_it_cannot_fill():
-    a = np.zeros((4, 3, 2))
+    base = np.zeros(30)
+    a = base[:24].reshape(4, 3, 2)
+    # partial overlaps (the second one contiguous), a wrong shape or dtype,
+    # and a strided out, which the kernels' reshapes would copy instead of
+    # write
+    shifted = base[6:].reshape(4, 3, 2)
+    strided = np.empty((3, 4, 2)).transpose(1, 0, 2)
     for f in (dct3, idct3):
-        for out in (a, a[:, :, ::-1], np.empty((4, 3, 3)), np.empty((4, 3, 2), np.float32)):
+        for out in (a[:, :, ::-1], shifted, np.empty((4, 3, 3)), np.empty((4, 3, 2), np.float32),
+                    strided):
             with pytest.raises(ParameterError):
                 f(a, out=out)
