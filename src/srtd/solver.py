@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, ParameterError
 from .t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
 from .tensor_core import Tensor3, astensor3, fro_norm, l1_norm, ttranspose
-from .transforms import SLAB_ENTRIES, dct3, idct3
+from .transforms import dct3, idct3, slabs
 
 _STOP_MODES = ("relative", "absolute")
 
@@ -119,7 +119,10 @@ class SolverState:
 @dataclass(frozen=True)
 class SolveReport:
     """Result of srtd_complete. ``final_residuals`` is
-    (‖x−w‖_F, ‖e−dct3(x)‖_F, ‖Δx‖_F at the last outer step)."""
+    (‖x−w‖_F, ‖e−dct3(x)‖_F, d), d being the value the last outer stop test
+    compared with eps_outer: ‖Δx‖_F with stop_mode="absolute", and
+    ‖Δx‖_F / max(1, ‖x‖_F) with stop_mode="relative", Δx being the last
+    outer step's change of x."""
 
     recovered: Tensor3
     outer_iters: int
@@ -138,18 +141,11 @@ def soft_threshold(x, tau):
     return x - np.clip(x, -tau, tau)
 
 
-def _rows(a: np.ndarray):
-    """Slices that cut the first axis of ``a`` into slabs of about
-    ``SLAB_ENTRIES`` entries, so that a slab's temporaries stay small."""
-    step = max(1, SLAB_ENTRIES // max(1, a[0].size))
-    return [slice(lo, lo + step) for lo in range(0, a.shape[0], step)]
-
-
 def _add_scaled_difference(y: Tensor3, x: Tensor3, w: Tensor3, mu: float) -> None:
     """y += mu (x - w), a slab at a time, in the operations and order of
     ``y + mu * (x - w)``; the last slab's temporary dies with the call
     instead of living through the next sweep's SVT."""
-    for s in _rows(y):
+    for s in slabs(y.shape):
         step = np.subtract(x[s], w[s])
         step *= mu
         np.add(y[s], step, out=y[s])
@@ -165,7 +161,7 @@ def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None)
     modified."""
     w, e = state.w, state.e
     state.e = None
-    for s in _rows(w):
+    for s in slabs(w.shape):
         if back is None:
             np.add(e[s], state.z[s] / state.mu, out=e[s])
         np.subtract(w[s], state.y[s] / state.mu, out=w[s])
@@ -187,7 +183,7 @@ def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
     np.subtract(dx, e, out=e)
     # soft_threshold in place, a slab at a time so that clip's result stays small
     tau = cfg.lam / state.mu
-    for s in _rows(e):
+    for s in slabs(e.shape):
         es = e[s]
         es -= np.clip(es, -tau, tau)
     return e

@@ -13,12 +13,13 @@ first ``n3 // 2 + 1`` slices are ever touched: ``_spectral_stack`` and
 pair, and results are identical to the full-spectrum route up to rounding.
 
 ``svt`` and ``tsvd_leading`` factor their slices independently, on the
-calling thread and on helper threads fed from one process-wide queue
-(``_each_slice``). The slices get the CPUs that BLAS leaves free
-(``_slice_threads``): with no BLAS thread count set in the environment,
-they run one after another on the calling thread and no helper is
-started. A slice's arithmetic is the same on any thread, so results do not
-depend on the number of slice threads.
+calling thread and on helper threads that each call starts and joins
+(``_each_slice``); the module keeps no thread or other state between
+calls. The slices get the CPUs that BLAS leaves free (``_slice_threads``):
+with no BLAS thread count set in the environment, they run one after
+another on the calling thread and no helper is started. A slice's
+arithmetic is the same on any thread, so results do not depend on the
+number of slice threads.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .tensor_core import Tensor3, astensor3
-from .transforms import SLAB_ENTRIES
+from .transforms import slabs
 
 # Largest ||A||_F / tau for which svt shrinks slice A from its Gram matrix.
 # Squaring A squares its condition: the shrunk singular values carry an
@@ -40,21 +41,6 @@ GRAM_COND = 1e4
 # BLAS thread counts, in the order the first positive one is taken.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "BLIS_NUM_THREADS")
-
-_tasks = None  # the queue that feeds the slice threads, made by the first pooled call
-_helpers = ()  # the threads that serve it
-_tasks_lock = threading.Lock()
-
-
-def _forget_tasks() -> None:
-    # a forked child has none of the parent's threads, so a queue inherited
-    # from the parent would hold slices that no thread ever runs
-    global _tasks, _helpers, _tasks_lock
-    _tasks, _helpers, _tasks_lock = None, (), threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_tasks)
 
 
 def _slice_threads() -> int:
@@ -76,42 +62,14 @@ def _slice_threads() -> int:
     return 1
 
 
-def _serve(tasks) -> None:
-    # the name is dropped after each task, so that a helper waiting for the
-    # next one holds nothing of the last (a drain holds its caller's
-    # spectral stack); None stops the thread
-    while True:
-        task = tasks.get()
-        if task is None:
-            return
-        task()
-        del task
-
-
-def _task_queue():
-    global _tasks, _helpers
-    with _tasks_lock:
-        if _tasks is None:
-            import queue  # on first use: serial slices never need it
-
-            _tasks = queue.SimpleQueue()
-            _helpers = tuple(threading.Thread(target=_serve, args=(_tasks,), name="srtd-slice",
-                                              daemon=True) for _ in range(_slice_threads() - 1))
-            for thread in _helpers:
-                thread.start()
-        return _tasks
-
-
 def _each_slice(fn, n: int) -> None:
     """Run ``fn(i)`` for i in range(n), on the calling thread and on up to
     ``_slice_threads() - 1`` helper threads at once.
 
-    The helpers serve one process-wide queue. The caller queues a drain
-    task per helper it may use and takes slices alongside them, so it never
-    waits behind another caller's slices; a drain that starts after the
-    last slice is taken finds none and returns. Once no slice is left, the
-    caller waits for the slices the helpers took, so no ``fn`` runs after
-    this returns. If ``fn`` raises, on any thread, the first of its
+    The helpers are started by this call and joined before it returns, so
+    no ``fn`` runs, and no helper is alive, once it has returned. The caller
+    and the helpers take slices from one shared iterator. If ``fn`` raises,
+    on any thread, no further slice is started and the first of its
     exceptions is raised here.
     """
     threads = min(_slice_threads(), n)
@@ -120,33 +78,28 @@ def _each_slice(fn, n: int) -> None:
             fn(i)
         return
     slices = iter(range(n))
-    done = threading.Condition()
-    running = 0  # slices taken and not yet finished
+    lock = threading.Lock()
     errors = []
 
     def drain():
-        nonlocal running
         while True:
-            with done:
+            with lock:
                 # after a failure no further slice is started
                 i = None if errors else next(slices, None)
-                if i is None:
-                    return
-                running += 1
+            if i is None:
+                return
             try:
                 fn(i)
             except BaseException as err:  # raised on the calling thread below
                 errors.append(err)
-            with done:
-                running -= 1
-                done.notify_all()
 
-    tasks = _task_queue()
-    for _ in range(threads - 1):
-        tasks.put(drain)
+    helpers = [threading.Thread(target=drain, name="srtd-slice", daemon=True)
+               for _ in range(threads - 1)]
+    for thread in helpers:
+        thread.start()
     drain()
-    with done:
-        done.wait_for(lambda: running == 0)
+    for thread in helpers:
+        thread.join()
     if errors:
         raise errors[0]
 
@@ -163,9 +116,8 @@ def _from_spectral_stack(stack: np.ndarray, n3: int) -> Tensor3:
     same as in the whole-array call."""
     tubes = np.moveaxis(stack, 0, 2)
     out = np.empty((*tubes.shape[:2], n3))
-    step = max(1, SLAB_ENTRIES // max(1, out.shape[1] * n3))
-    for lo in range(0, out.shape[0], step):
-        out[lo:lo + step] = np.fft.irfft(tubes[lo:lo + step], n=n3, axis=2)
+    for s in slabs(out.shape):
+        out[s] = np.fft.irfft(tubes[s], n=n3, axis=2)
     return out
 
 

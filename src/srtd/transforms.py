@@ -24,6 +24,7 @@ tensor sizes on 64x64x32 and 1.00 on 64x64x16 and 48x40x24.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -69,11 +70,11 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, inv
 
 
-def _slabs(shape, axis: int) -> list:
-    """Slices that cut the first axis other than ``axis`` into slabs of
-    about ``SLAB_ENTRIES`` entries, each holding whole tubes of ``axis``."""
-    cut = 1 if axis == 0 else 0
-    step = max(1, SLAB_ENTRIES * shape[cut] // max(1, np.prod(shape)))
+def slabs(shape, cut: int = 0) -> list:
+    """Slices that cut axis ``cut`` of an array of ``shape`` into slabs of
+    about ``SLAB_ENTRIES`` entries, and of at least one index each."""
+    row = math.prod(shape[:cut] + shape[cut + 1:])
+    step = max(1, SLAB_ENTRIES // max(1, row))
     return [slice(lo, lo + step) for lo in range(0, shape[cut], step)]
 
 
@@ -95,7 +96,7 @@ def _matrix_mode(src, dst, c, axis: int) -> None:
     if src is not dst:
         _matmul_along(c, src, dst, axis)
         return
-    for sl in _slabs(src.shape, axis):
+    for sl in slabs(src.shape, 1 if axis == 0 else 0):
         s = src[:, sl] if axis == 0 else src[sl]
         tmp = np.empty(s.shape)
         _matmul_along(c, s, tmp, axis)
@@ -117,7 +118,7 @@ def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
     # tubes of ``axis`` along the first axis of these views, slabs along the second
     sv_all, dv_all = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
     rest = sv_all.shape[2]
-    for sl in _slabs(src.shape, axis):
+    for sl in slabs(src.shape, 1 if axis == 0 else 0):
         sv, dv = sv_all[:, sl], dv_all[:, sl]
         b = sv.shape[1]
         if inverse:

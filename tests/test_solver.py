@@ -329,6 +329,17 @@ def test_complete_report_fields():
     assert report.objective_trace[-1] <= report.objective_trace[0]
 
 
+@pytest.mark.parametrize("stop_mode", ["relative", "absolute"])
+def test_complete_reports_the_outer_stop_value(stop_mode):
+    # final_residuals[2] is the value the outer stop test compared with
+    # eps_outer, so a solve that stopped before max_outer reports one below it
+    g, omega = _low_rank_instance(19, 8, 2, 2, 0.7)
+    cfg = SolverConfig(r=2, stop_mode=stop_mode)
+    report = srtd_complete(g, omega, cfg)
+    assert report.outer_iters < cfg.max_outer
+    assert report.final_residuals[2] <= cfg.eps_outer
+
+
 def test_complete_unobserved_entries_are_ignored():
     g, omega = _low_rank_instance(18, 8, 2, 2, 0.5)
     spoiled = g.copy()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srtd
-from srtd import t_algebra
+from srtd import t_algebra, transforms
 from srtd.errors import DimensionError, ParameterError
 from srtd.t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
 from srtd.tensor_core import fro_norm, ttranspose
@@ -294,11 +294,14 @@ def test_svt_rejects_negative_threshold():
 
 @_PROPERTY
 @given(n3=st.integers(1, 8), dims=st.sampled_from([(7, 4), (4, 7), (5, 5)]),
-       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 9, 64]))
-def test_svt_in_row_blocks_is_bitwise_one_block_and_writes_no_input(n3, dims, seed, block):
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_svt_in_row_blocks_is_bitwise_one_block_and_writes_no_input(n3, dims, seed, data):
     # tall, wide and square slices; at tau = 1e-2 the zero-frequency slice
-    # takes the SVD and the others eigh. The result's irfft runs in row
-    # blocks of about ``block`` entries, and must equal the one-block result
+    # takes the SVD and the others eigh. The result's irfft runs in blocks
+    # of 1 to n1 - 1 rows, and must equal the one-block result
+    row = dims[1] * n3
+    block = (data.draw(st.integers(1, dims[0] - 1), label="rows") * row
+             + data.draw(st.integers(0, row - 1), label="spare"))
     x = _mixed_route_input((*dims, n3), seed)
     x_before = x.copy()
     smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
@@ -307,7 +310,8 @@ def test_svt_in_row_blocks_is_bitwise_one_block_and_writes_no_input(n3, dims, se
         whole = svt(x, tau)
         with pytest.MonkeyPatch.context() as mp:
             _count_calls(mp, counts, "eigh", "svd")
-            mp.setattr(t_algebra, "SLAB_ENTRIES", block)
+            mp.setattr(transforms, "SLAB_ENTRIES", block)
+            assert len(transforms.slabs(x.shape)) > 1
             assert np.array_equal(svt(x, tau), whole)
     assert np.array_equal(x, x_before)
     assert counts["eigh"] >= 1 and counts["svd"] >= 1
@@ -530,23 +534,28 @@ def test_import_starts_no_thread_and_serial_slices_start_none():
                     reason="needs two usable CPUs for a slice thread")
 def test_pooled_slices_load_no_thread_pool():
     # one BLAS thread on two CPUs leaves a CPU for a slice thread; the
-    # helper threads are fed without concurrent.futures, which would load
-    # logging as well
+    # helper threads are started without concurrent.futures, which would
+    # load logging as well, and none is left running once the calls return
     code = (
         "import sys, threading, numpy as np, srtd\n"
-        "from srtd.t_algebra import svt\n"
+        "from srtd import t_algebra\n"
+        "threads, take = set(), t_algebra._slice\n"
+        "def spy(*args):\n"
+        "    threads.add(threading.current_thread().name)\n"
+        "    return take(*args)\n"
+        "t_algebra._slice = spy\n"
         "x = np.random.default_rng(0).standard_normal((6, 5, 8))\n"
-        "svt(x, 0.5)\n"
+        "t_algebra.svt(x, 0.5)\n"
         "omega = np.random.default_rng(1).random(x.shape) < 0.5\n"
         "srtd.srtd_complete(x * omega, omega, srtd.SolverConfig(r=1, max_outer=2))\n"
-        "print(threading.active_count() > 1,"
+        "print('srtd-slice' in threads, threading.active_count(),"
         " sorted(k for k in ('concurrent.futures', 'logging') if k in sys.modules))\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "True []"
+    assert out.stdout.strip() == "True 1 []"
 
 
 def _mixed_route_input(shape, seed):
@@ -592,8 +601,8 @@ def test_each_slice_runs_slices_at_once(slice_threads):
 
 
 def test_worker_exception_is_raised_and_the_next_call_works(slice_threads, monkeypatch):
-    # the calling thread holds its first slice until a pool thread has
-    # failed on another one, so the exception comes from a pool thread
+    # the calling thread holds its first slice until a helper thread has
+    # failed on another one, so the exception comes from a helper thread
     slice_threads(2)
     monkeypatch.setattr(t_algebra, "GRAM_COND", 0.0)  # every slice through _slice_svd
     x = np.random.default_rng(22).standard_normal((5, 4, 6))
@@ -601,7 +610,7 @@ def test_worker_exception_is_raised_and_the_next_call_works(slice_threads, monke
     slice_svd = t_algebra._slice_svd
     failed = threading.Event()
 
-    def fails_on_a_pool_thread(m, *args, **kwargs):
+    def fails_on_a_helper_thread(m, *args, **kwargs):
         if threading.current_thread() is threading.main_thread():
             failed.wait(timeout=30)
         else:
@@ -609,7 +618,7 @@ def test_worker_exception_is_raised_and_the_next_call_works(slice_threads, monke
             raise np.linalg.LinAlgError("slice failed")
         return slice_svd(m, *args, **kwargs)
 
-    monkeypatch.setattr(t_algebra, "_slice_svd", fails_on_a_pool_thread)
+    monkeypatch.setattr(t_algebra, "_slice_svd", fails_on_a_helper_thread)
     with pytest.raises(np.linalg.LinAlgError, match="slice failed"):
         svt(x, 0.5)
     assert failed.is_set()
@@ -617,9 +626,38 @@ def test_worker_exception_is_raised_and_the_next_call_works(slice_threads, monke
     assert np.array_equal(svt(x, 0.5), expected)
 
 
-def test_concurrent_solves_share_the_pool(slice_threads):
-    # two solves at once, as `srtd sweep --jobs 2` runs them, on one pool
-    # thread: each matches its serial run and neither waits for the other
+def test_no_slice_thread_outlives_its_call(slice_threads):
+    # a call joins its helpers before it returns, also when fn raises
+    slice_threads(2)
+    both = threading.Barrier(2, timeout=30)
+
+    def helpers_alive():
+        return [t for t in threading.enumerate() if t.name == "srtd-slice"]
+
+    ran = []
+
+    def fn(i):
+        if i < 2:
+            both.wait()  # the first two slices run at once, one on the helper
+        ran.append(threading.current_thread().name)
+
+    t_algebra._each_slice(fn, 4)
+    assert "srtd-slice" in ran and not helpers_alive()
+
+    def fails(i):
+        if i < 2:
+            both.wait()
+        if threading.current_thread().name == "srtd-slice":
+            raise ValueError("slice failed")
+
+    with pytest.raises(ValueError, match="slice failed"):
+        t_algebra._each_slice(fails, 4)
+    assert not helpers_alive()
+
+
+def test_concurrent_solves_match_their_serial_runs(slice_threads):
+    # two solves at once, as `srtd sweep --jobs 2` runs them, each with a
+    # slice helper of its own: each matches its serial run
     instances = []
     for seed in (23, 24):
         rng = np.random.default_rng(seed)
@@ -651,11 +689,11 @@ def test_concurrent_solves_share_the_pool(slice_threads):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_svt_completes_in_a_forked_child(slice_threads):
-    # the child inherits no helper thread, so it must start helpers of its own
+    # a child forked after a call with a helper starts helpers of its own
     slice_threads(2)
     x = np.random.default_rng(25).standard_normal((6, 5, 8))
-    expected = svt(x, 0.5)  # starts the parent's helper
-    assert t_algebra._tasks is not None and len(t_algebra._helpers) == 1
+    expected = svt(x, 0.5)  # starts and joins a helper in the parent
+    assert not any(t.name == "srtd-slice" for t in threading.enumerate())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
         pid = os.fork()

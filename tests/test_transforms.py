@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srtd import t_algebra
+from srtd import transforms
 from srtd.errors import DimensionError, ParameterError
 from srtd.t_algebra import _from_spectral_stack, _slice, _spectral_stack
 from srtd.tensor_core import fro_norm
-from srtd.transforms import MATRIX_MAX_N, dct3, idct3
+from srtd.transforms import MATRIX_MAX_N, dct3, idct3, slabs
 
 from oracles import inner_product
 
@@ -98,20 +98,39 @@ def test_idft_zero_spectrum():
 
 
 @_PROPERTY
-@given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64, 1 << 15]))
-def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, block):
+@given(n1=st.integers(2, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, data):
     # an arbitrary complex stack, frequency-major as a view, the way svt
-    # holds it; the irfft runs in row blocks of about ``block`` entries,
+    # holds it; the irfft runs in blocks of 1 to n1 - 1 rows of the result,
     # and each tube must come out as in the whole-array irfft
     rng = np.random.default_rng(seed)
     nf = n3 // 2 + 1
     stack = np.moveaxis(rng.standard_normal((n1, n2, nf)) + 1j * rng.standard_normal((n1, n2, nf)),
                         2, 0)
+    row = n2 * n3
+    block = (data.draw(st.integers(1, n1 - 1), label="rows") * row
+             + data.draw(st.integers(0, row - 1), label="spare"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(t_algebra, "SLAB_ENTRIES", block)
+        mp.setattr(transforms, "SLAB_ENTRIES", block)
+        assert len(slabs((n1, n2, n3))) > 1
         blocked = _from_spectral_stack(stack, n3)
     assert np.array_equal(blocked, np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
+
+
+@pytest.mark.parametrize("block", [1, 5, 12, 13, 1 << 15])
+@pytest.mark.parametrize("shape", [(7, 4, 3), (1, 5, 2), (4, 0, 3), (0, 3, 3)])
+def test_slabs_cut_an_axis_into_whole_rows_of_about_slab_entries(monkeypatch, shape, block):
+    # the slabs cover the cut axis once, in order; each holds as many whole
+    # rows as fit in ``block`` entries, and at least one
+    monkeypatch.setattr(transforms, "SLAB_ENTRIES", block)
+    for cut in range(3):
+        row = int(np.prod(shape)) // shape[cut] if shape[cut] else 0
+        got = slabs(shape, cut)
+        assert [i for s in got for i in range(shape[cut])[s]] == list(range(shape[cut]))
+        for s in got[:-1]:
+            rows = s.stop - s.start
+            assert rows == 1 or rows * row <= block < (rows + 1) * row
 
 
 def test_dct_constant_tensor_has_single_dc_coefficient():
