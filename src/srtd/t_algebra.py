@@ -8,9 +8,14 @@ slice (complex, except on the slices that are exactly real). The SVT
 shrinks a slice through the eigendecomposition of its smaller Gram matrix
 when that is exact to rounding (``GRAM_COND``), and through the slice's
 SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
-first ``n3 // 2 + 1`` slices are ever touched: ``_spectral_stack`` and
-``_from_spectral_stack`` (rfft/irfft) are the library's only mode-3 DFT
-pair, and results are identical to the full-spectrum route up to rounding.
+first ``n3 // 2 + 1`` slices are ever touched: ``_spectrum`` and
+``_from_spectrum`` (rfft/irfft) are the library's only mode-3 DFT pair, and
+results are identical to the full-spectrum route up to rounding. The pair
+holds the spectrum as one contiguous (n1, n2) array per frequency, real for
+the zero-frequency slice and, when n3 is even, the Nyquist slice, and
+builds and inverts it block by block of rows, so that no full-size complex
+array is made. ``svt`` shrinks each slice in its own array, with at most
+two slice-sized matrices beside it.
 
 ``svt`` and ``tsvd_leading`` factor their slices independently, on the
 calling thread and on helper threads that each call starts and joins
@@ -104,20 +109,40 @@ def _each_slice(fn, n: int) -> None:
         raise errors[0]
 
 
-def _spectral_stack(a: Tensor3) -> np.ndarray:
-    """rfft along mode 3, frequency-major stack of frontal slices."""
-    return np.moveaxis(np.fft.rfft(a, axis=2), 2, 0)
-
-
-def _from_spectral_stack(stack: np.ndarray, n3: int) -> Tensor3:
-    """irfft along mode 3 of the frequency-major ``stack``, written into a
-    new array block by block of rows (about ``SLAB_ENTRIES`` entries), so
-    that no second full-size temporary is made; each tube's irfft is the
+def _spectrum(a: Tensor3) -> list:
+    """The rfft of ``a`` along mode 3 as its ``n3 // 2 + 1`` frequency
+    slices, each a contiguous (n1, n2) array of its own. The zero-frequency
+    slice, and the Nyquist slice when n3 is even, are exactly real and are
+    held as real arrays: real factorizations are about twice as fast and
+    attach no unit phases to the factors. The rfft runs block by block of
+    rows, so no full-size complex array is made; each tube's rfft is the
     same as in the whole-array call."""
-    tubes = np.moveaxis(stack, 0, 2)
-    out = np.empty((*tubes.shape[:2], n3))
-    for s in slabs(out.shape):
-        out[s] = np.fft.irfft(tubes[s], n=n3, axis=2)
+    n1, n2, n3 = a.shape
+    nf = n3 // 2 + 1
+    out = [np.empty((n1, n2), np.float64 if f == 0 or 2 * f == n3 else np.complex128)
+           for f in range(nf)]
+    for s in slabs((n1, n2, 2 * nf)):  # a block's tube holds 2 * nf floats
+        block = np.fft.rfft(a[s], axis=2)
+        for f, fs in enumerate(out):
+            fs[s] = block[:, :, f].real if np.isrealobj(fs) else block[:, :, f]
+        del block  # not held while the next one is made
+    return out
+
+
+def _from_spectrum(spectrum: list, n3: int) -> Tensor3:
+    """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
+    ``_spectrum``), written into a new array block by block of rows, so
+    that no full-size complex array is made; each tube's irfft is the same
+    as in the whole-array call."""
+    n1, n2 = spectrum[0].shape
+    out = np.empty((n1, n2, n3))
+    # a block's tube holds 2 * nf floats, and its irfft n3 more
+    for s in slabs((n1, n2, 2 * len(spectrum) + n3)):
+        block = np.empty((*out[s].shape[:2], len(spectrum)), np.complex128)
+        for f, fs in enumerate(spectrum):
+            block[:, :, f] = fs[s]
+        out[s] = np.fft.irfft(block, n=n3, axis=2)
+        del block
     return out
 
 
@@ -127,19 +152,8 @@ def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
     b = astensor3(b, "b")
     if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
-    fc = _spectral_stack(a) @ _spectral_stack(b)
-    return _from_spectral_stack(fc, a.shape[2])
-
-
-def _slice(fa: np.ndarray, i: int, n3: int) -> np.ndarray:
-    """Frequency slice ``i`` of the spectral stack ``fa`` of a real tensor
-    with ``n3`` frontal slices.
-
-    The zero-frequency slice, and the Nyquist slice when n3 is even, are
-    exactly real and are returned as real matrices: real factorizations are
-    about twice as fast and attach no unit phases to the factors.
-    """
-    return fa[i].real if i == 0 or 2 * i == n3 else fa[i]
+    fc = [fa @ fb for fa, fb in zip(_spectrum(a), _spectrum(b))]
+    return _from_spectrum(fc, a.shape[2])
 
 
 def _slice_svd(m: np.ndarray, full_matrices: bool = False):
@@ -165,17 +179,17 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     kmax = min(n1, n2)
     if not 1 <= r <= kmax:
         raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
-    fa = _spectral_stack(a)
-    nf = fa.shape[0]
-    fu = np.empty((nf, n1, r), dtype=np.complex128)
-    fv = np.empty((nf, n2, r), dtype=np.complex128)
+    fa = _spectrum(a)
+    fu, fv = [None] * len(fa), [None] * len(fa)
 
     def factor(i):
-        u, _, vh = _slice_svd(_slice(fa, i, n3))
-        fu[i], fv[i] = u[:, :r], vh[:r].conj().T
+        u, _, vh = _slice_svd(fa[i])
+        fa[i] = None  # the slice is not needed once factored
+        # copies, so that the full factors are not held until the end
+        fu[i], fv[i] = u[:, :r].copy(), vh[:r].conj().T.copy()
 
-    _each_slice(factor, nf)
-    return _from_spectral_stack(fu, n3), _from_spectral_stack(fv, n3)
+    _each_slice(factor, len(fa))
+    return _from_spectrum(fu, n3), _from_spectrum(fv, n3)
 
 
 def tnn(a: Tensor3) -> float:
@@ -197,14 +211,20 @@ def trace_pair(a: Tensor3, b: Tensor3) -> float:
     return float(np.sum(a.sum(axis=2) * b.sum(axis=2).T))
 
 
-def _gram_svt(m: np.ndarray, tau: float) -> np.ndarray | None:
-    """Singular value thresholding of the matrix ``m`` by ``tau`` from the
-    eigendecomposition of its smaller Gram matrix; None if eigh fails.
+def _gram_svt(m: np.ndarray, tau: float) -> bool:
+    """Singular value thresholding of the matrix ``m`` by ``tau``, in place,
+    from the eigendecomposition of its smaller Gram matrix; False, with m
+    unchanged, if eigh fails.
 
     An eigenpair (lam, v) of G = m^H m with lam > tau^2 is a right singular
     pair of m with sigma = sqrt(lam), and m v = sigma u, so the shrunk slice
-    sum (sigma - tau) u v^H is (m V_k) diag(1 - tau/sigma) V_k^H. A wide m
-    uses m m^H and its left singular vectors instead. No U is formed.
+    sum (sigma - tau) u v^H is (m V_k) (diag(1 - tau/sigma) V_k^H). A wide m
+    uses m m^H and its left singular vectors instead: (V_k diag(...))
+    (V_k^H m). No U is formed. The scaled V_k^H (or V_k) is formed in V's
+    own buffer, so besides m at most two slice-sized matrices are alive at
+    once: the conjugate and G, then G and V, then V and the inner product
+    (and numpy's buffer of ``np.getbufsize()`` entries for the broadcast
+    product by the weights).
     """
     wide = m.shape[0] < m.shape[1]
     mh = m.conj().T if np.iscomplexobj(m) else m.T
@@ -213,19 +233,41 @@ def _gram_svt(m: np.ndarray, tau: float) -> np.ndarray | None:
     try:
         lam, v = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
-        return None
-    del g  # not held through the rebuild, which allocates a slice-sized result
+        return False
+    del g
     first = int(np.searchsorted(lam, tau * tau, side="right"))  # lam is ascending
-    vk = v[:, first:]
-    w = 1.0 - tau / np.sqrt(lam[first:])
+    # the kept columns' weights 1 - tau/sigma, in v's dtype and over all of
+    # v: a ufunc on a strided view of v, or one that casts, would copy it
+    w = np.zeros(len(lam), v.dtype)
+    w[first:] = 1.0 - tau / np.sqrt(lam[first:])
     if wide:
-        return (vk * w) @ (vk.conj().T @ m)
-    b = vk.conj().T
-    if np.iscomplexobj(b):
-        b *= w[:, None]  # in place: a complex conjugate is a copy already
+        np.conjugate(v, out=v)  # exact, and undone below: v[:, first:].T is V_k^H
+        p = v[:, first:].T @ m
+        np.conjugate(v, out=v)
+        v *= w
+        np.matmul(v[:, first:], p, out=m)
     else:
-        b = w[:, None] * b  # a real v's conjugate is v itself
-    return (m @ vk) @ b
+        p = m @ v[:, first:]
+        np.conjugate(v, out=v)  # v[:, first:].T is now V_k^H
+        v *= w
+        np.matmul(p, v[:, first:].T, out=m)
+    return True
+
+
+def _shrink(m: np.ndarray, tau: float) -> None:
+    """Shrink the singular values of the frequency slice ``m`` by ``tau``
+    (floored at zero), in place. When tau > 0 and ||m||_F <= GRAM_COND * tau
+    this goes through ``_gram_svt``; otherwise, and whenever ``eigh`` fails,
+    through the slice's SVD, whose k triplets above tau are scaled in U's
+    own buffer. Besides m, at most two slice-sized matrices are alive."""
+    if tau > 0 and np.vdot(m, m).real <= (GRAM_COND * tau) ** 2 and _gram_svt(m, tau):
+        return
+    u, sv, vh = _slice_svd(m)
+    k = int(np.count_nonzero(sv > tau))
+    # only the k triplets above the threshold survive; u is scaled whole,
+    # in its own dtype, so that the ufunc neither copies nor casts it
+    u *= (sv - tau).astype(u.dtype)
+    np.matmul(u[:, :k], vh[:k], out=m)
 
 
 def svt(x: Tensor3, tau: float) -> Tensor3:
@@ -236,13 +278,13 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     running over all n3 slices X_f of the mode-3 DFT of x. That equals
     ``tau * tnn`` only for n3 = 1.
 
-    Each rfft slice A is factored once. When tau > 0 and
-    ||A||_F <= GRAM_COND * tau, it is shrunk through ``eigh`` of the smaller
-    of A^H A and A A^H, keeping the eigenvalues above tau^2; that costs
-    less than an SVD (about half on a real slice) and is exact to about
-    eps * sigma_1 / tau. Otherwise, and whenever ``eigh`` fails, the
-    slice's SVD is used. The slices are shrunk by ``_each_slice``, in place
-    in the spectral stack; the result does not depend on its thread count.
+    Each rfft slice A is factored once and shrunk in its own array by
+    ``_shrink``. When tau > 0 and ||A||_F <= GRAM_COND * tau, that goes
+    through ``eigh`` of the smaller of A^H A and A A^H, keeping the
+    eigenvalues above tau^2; that costs less than an SVD (about half on a
+    real slice) and is exact to about eps * sigma_1 / tau. Otherwise, and
+    whenever ``eigh`` fails, the slice's SVD is used. The slices are shrunk
+    by ``_each_slice``; the result does not depend on its thread count.
 
     The result is a new array, allocated only once every slice is shrunk,
     so that it is not held alongside the slices' temporaries. x is never
@@ -251,24 +293,6 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
-    n3 = x.shape[2]
-    fx = _spectral_stack(x)
-    gram_limit = (GRAM_COND * tau) ** 2
-
-    def shrink(i):
-        m = _slice(fx, i, n3)
-        shrunk = None
-        if tau > 0 and np.vdot(m, m).real <= gram_limit:
-            shrunk = _gram_svt(m, tau)
-        if shrunk is None:
-            u, sv, vh = _slice_svd(m)
-            k = int(np.count_nonzero(sv > tau))
-            # only the k triplets above the threshold survive
-            shrunk = (u[:, :k] * (sv[:k] - tau)) @ vh[:k]
-        # the slice is rebuilt in place so that only the factors of the
-        # slices being shrunk at the moment are alive
-        fx[i] = shrunk
-
-    _each_slice(shrink, fx.shape[0])
-    return _from_spectral_stack(fx, n3)
-
+    fx = _spectrum(x)
+    _each_slice(lambda i: _shrink(fx[i], tau), len(fx))
+    return _from_spectrum(fx, x.shape[2])

@@ -1,7 +1,8 @@
 """Reference implementations the tests check srtd against.
 
 None of these runs on the solve path: the block-circulant route of the
-t-product, the full T-SVD and the norms and bounds built on it, the tensor
+t-product, the whole-array mode-3 rfft pair as one frequency-major stack,
+the full T-SVD and the norms and bounds built on it, the tensor
 helpers those need, and an ADMM sweep that allocates every iterate anew.
 They are independent routes to the quantities the solver computes, so a
 test can compare the fast path with them.
@@ -16,15 +17,7 @@ import numpy as np
 import srtd.solver as solver
 from srtd.errors import DimensionError, DivergenceError, ParameterError
 from srtd.solver import SolverConfig, SolverState
-from srtd.t_algebra import (
-    _from_spectral_stack,
-    _slice,
-    _slice_svd,
-    _spectral_stack,
-    svt,
-    tproduct,
-    tsvd_leading,
-)
+from srtd.t_algebra import _slice_svd, svt, tproduct, tsvd_leading
 from srtd.tensor_core import Tensor3, astensor3, fro_norm, ttranspose
 from srtd.transforms import dct3, idct3
 
@@ -34,6 +27,25 @@ _SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditi
 def _require_same_dims(a: Tensor3, b: Tensor3) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"tensors must share dims, got {a.shape} and {b.shape}")
+
+
+def _spectral_stack(a: Tensor3) -> np.ndarray:
+    """rfft along mode 3, as a frequency-major (n3 // 2 + 1, n1, n2) stack
+    of complex frontal slices."""
+    return np.moveaxis(np.fft.rfft(a, axis=2), 2, 0)
+
+
+def _from_spectral_stack(stack: np.ndarray, n3: int) -> Tensor3:
+    """irfft along mode 3 of the frequency-major ``stack``."""
+    return np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2)
+
+
+def _slice(fa: np.ndarray, i: int, n3: int) -> np.ndarray:
+    """Frequency slice ``i`` of the spectral stack ``fa`` of a real tensor
+    with ``n3`` frontal slices; the zero-frequency slice, and the Nyquist
+    slice when n3 is even, are exactly real and are returned as real
+    matrices."""
+    return fa[i].real if i == 0 or 2 * i == n3 else fa[i]
 
 
 def unfold(a: Tensor3) -> np.ndarray:

@@ -15,8 +15,8 @@ from srtd.evalkit import psnr, random_mask
 from srtd.pnm import save_image
 from srtd.solver import SolverConfig, admm_solve, srtd_complete
 from srtd.t_algebra import (
-    _from_spectral_stack,
-    _spectral_stack,
+    _from_spectrum,
+    _spectrum,
     svt,
     tnn,
     tproduct,
@@ -26,6 +26,7 @@ from srtd.tensor_core import fro_norm, ttranspose
 from srtd.transforms import dct3, idct3
 
 from oracles import (
+    _spectral_stack,
     bcirc,
     fold,
     identity_tensor,
@@ -227,11 +228,11 @@ def test_07_transform_suite():
         worst_dct_rt = max(worst_dct_rt, np.abs(idct3(dct3(a)) - a).max(),
                            np.abs(dct3(idct3(a)) - a).max())
         # the solver's rfft pair: only the zero-frequency slice, and the
-        # Nyquist slice when n3 is even, must be real, and they are taken
-        # as real matrices
-        s = _spectral_stack(a)
+        # Nyquist slice when n3 is even, must be real, and the pair holds
+        # them as real matrices
         n3 = dims[2]
-        worst_dft_rt = max(worst_dft_rt, np.abs(_from_spectral_stack(s, n3) - a).max())
+        worst_dft_rt = max(worst_dft_rt, np.abs(_from_spectrum(_spectrum(a), n3) - a).max())
+        s = _spectral_stack(a)
         real_slices = (0, n3 // 2) if n3 % 2 == 0 else (0,)
         for i in real_slices:
             worst_sym = max(worst_sym, np.abs(s[i].imag).max())

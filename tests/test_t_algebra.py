@@ -539,11 +539,11 @@ def test_pooled_slices_load_no_thread_pool():
     code = (
         "import sys, threading, numpy as np, srtd\n"
         "from srtd import t_algebra\n"
-        "threads, take = set(), t_algebra._slice\n"
+        "threads, take = set(), t_algebra._shrink\n"
         "def spy(*args):\n"
         "    threads.add(threading.current_thread().name)\n"
         "    return take(*args)\n"
-        "t_algebra._slice = spy\n"
+        "t_algebra._shrink = spy\n"
         "x = np.random.default_rng(0).standard_normal((6, 5, 8))\n"
         "t_algebra.svt(x, 0.5)\n"
         "omega = np.random.default_rng(1).random(x.shape) < 0.5\n"

@@ -1,6 +1,7 @@
-"""The solver's mode-3 rfft pair (``t_algebra._spectral_stack`` and
-``_from_spectral_stack``) and the orthonormal 3-D DCT pair, checked against
-explicit transform-matrix oracles built independently of any FFT library."""
+"""The solver's mode-3 rfft pair (``t_algebra._spectrum`` and
+``_from_spectrum``) and the orthonormal 3-D DCT pair, checked against
+explicit transform-matrix oracles built independently of any FFT library,
+and the rfft pair also tube by tube against numpy's own rfft and irfft."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from srtd import transforms
 from srtd.errors import DimensionError, ParameterError
-from srtd.t_algebra import _from_spectral_stack, _slice, _spectral_stack
+from srtd.t_algebra import _from_spectrum, _spectrum
 from srtd.tensor_core import fro_norm
 from srtd.transforms import MATRIX_MAX_N, dct3, idct3, slabs
 
@@ -36,25 +37,28 @@ def _dct_matrix(n):
     return c
 
 
+def _is_real_slice(f, n3):
+    return f == 0 or 2 * f == n3
+
+
 def test_dft_single_slice_is_identity():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4, 1))
-    s = _spectral_stack(a)
-    assert s.dtype == np.complex128
-    assert np.array_equal(s[0].real, a[:, :, 0])
-    assert np.all(s.imag == 0.0)
+    s = _spectrum(a)
+    assert len(s) == 1 and s[0].dtype == np.float64
+    assert np.array_equal(s[0], a[:, :, 0])
 
 
 def test_dft_constant_tube():
     a = np.array([1.0, 1.0]).reshape(1, 1, 2)
-    s = _spectral_stack(a)
-    assert np.allclose(s.ravel(), [2.0, 0.0], atol=1e-14)
+    s = _spectrum(a)
+    assert np.allclose([f.item() for f in s], [2.0, 0.0], atol=1e-14)
 
 
 def test_dft_impulse_tube():
     a = np.zeros((1, 1, 4))
     a[0, 0, 0] = 1.0
-    assert np.allclose(_spectral_stack(a).ravel(), np.ones(3), atol=1e-14)
+    assert np.allclose([f.item() for f in _spectrum(a)], np.ones(3), atol=1e-14)
 
 
 def test_dft_matches_matrix_oracle():
@@ -62,60 +66,87 @@ def test_dft_matches_matrix_oracle():
     for n3 in (2, 3, 5):
         a = rng.standard_normal((3, 2, n3))
         oracle = a @ _dft_matrix(n3).T  # contract mode 3 against the DFT matrix
-        # the stack holds the first n3 // 2 + 1 frequencies, frequency-major
-        assert np.allclose(_spectral_stack(a), np.moveaxis(oracle[:, :, :n3 // 2 + 1], 2, 0),
-                           atol=1e-12)
+        # the first n3 // 2 + 1 frequencies, one (n1, n2) slice each
+        s = _spectrum(a)
+        assert len(s) == n3 // 2 + 1
+        for f, fs in enumerate(s):
+            assert np.allclose(fs, oracle[:, :, f], atol=1e-12)
 
 
 def test_dft_conjugate_symmetry():
     # a real tensor's spectrum is conjugate-symmetric, so the zero-frequency
-    # slice, and the Nyquist slice when n3 is even, are real; _slice takes
-    # exactly these as real matrices
+    # slice, and the Nyquist slice when n3 is even, are real; the pair holds
+    # exactly these as real arrays, and every slice as a contiguous one
     rng = np.random.default_rng(2)
     for n3 in (2, 3, 4, 7):
-        s = _spectral_stack(rng.standard_normal((4, 3, n3)))
-        real_slices = (0, n3 // 2) if n3 % 2 == 0 else (0,)
-        for i in range(s.shape[0]):
-            if i in real_slices:
-                assert np.abs(s[i].imag).max() <= 1e-12
-            assert np.isrealobj(_slice(s, i, n3)) == (i in real_slices)
+        a = rng.standard_normal((4, 3, n3))
+        whole = np.fft.rfft(a, axis=2)
+        for f, fs in enumerate(_spectrum(a)):
+            if _is_real_slice(f, n3):
+                assert np.abs(whole[:, :, f].imag).max() <= 1e-12
+            assert np.isrealobj(fs) == _is_real_slice(f, n3)
+            assert fs.shape == (4, 3) and fs.flags.c_contiguous
 
 
 def test_idft_roundtrip():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3, 5))
-    assert np.abs(_from_spectral_stack(_spectral_stack(a), 5) - a).max() <= 1e-12
+    assert np.abs(_from_spectrum(_spectrum(a), 5) - a).max() <= 1e-12
 
 
 def test_idft_known_tube():
-    s = np.array([2.0 + 0j, 0.0 + 0j]).reshape(2, 1, 1)
-    assert np.allclose(_from_spectral_stack(s, 2), np.ones((1, 1, 2)), atol=1e-14)
+    s = [np.array([[2.0]]), np.array([[0.0]])]
+    assert np.allclose(_from_spectrum(s, 2), np.ones((1, 1, 2)), atol=1e-14)
 
 
 def test_idft_zero_spectrum():
-    zero = np.zeros((2, 2, 2), dtype=complex)  # the n3 // 2 + 1 = 2 slices of n3 = 3
-    assert np.array_equal(_from_spectral_stack(zero, 3), np.zeros((2, 2, 3)))
+    zero = [np.zeros((2, 2)), np.zeros((2, 2), dtype=complex)]  # the 2 slices of n3 = 3
+    assert np.array_equal(_from_spectrum(zero, 3), np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 32])
+def test_rfft_pair_is_bitwise_numpys_rfft_tube_by_tube(monkeypatch, n3):
+    # both directions run in several row blocks, and each tube must come out
+    # as numpy's rfft and irfft give it for that tube alone; the real
+    # slices hold the real parts, where the rfft's imaginary parts are 0
+    rng = np.random.default_rng(n3)
+    a = rng.standard_normal((7, 5, n3))
+    spectrum = [fs + (1j * rng.standard_normal(fs.shape) if np.iscomplexobj(fs) else 0.0)
+                for fs in _spectrum(rng.standard_normal(a.shape))]
+    monkeypatch.setattr(transforms, "SLAB_ENTRIES", 2 * 5 * n3 + 1)
+    s = _spectrum(a)
+    back = _from_spectrum(spectrum, n3)
+    assert len(s) == n3 // 2 + 1
+    for f, fs in enumerate(s):
+        assert np.isrealobj(fs) == _is_real_slice(f, n3)
+    for i in range(7):
+        for j in range(5):
+            tube = np.fft.rfft(a[i, j])
+            assert np.array_equal(np.array([fs[i, j] for fs in s]), tube)
+            assert not tube[[f for f in range(len(s)) if _is_real_slice(f, n3)]].imag.any()
+            assert np.array_equal(back[i, j], np.fft.irfft(
+                np.array([fs[i, j] for fs in spectrum], dtype=complex), n=n3))
 
 
 @_PROPERTY
 @given(n1=st.integers(2, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, data):
-    # an arbitrary complex stack, frequency-major as a view, the way svt
-    # holds it; the irfft runs in blocks of 1 to n1 - 1 rows of the result,
-    # and each tube must come out as in the whole-array irfft
+    # an arbitrary spectrum, real on the slices svt holds as real; the irfft
+    # runs in blocks of 1 to n1 - 1 rows of the result, and each tube must
+    # come out as in the whole-array irfft
     rng = np.random.default_rng(seed)
-    nf = n3 // 2 + 1
-    stack = np.moveaxis(rng.standard_normal((n1, n2, nf)) + 1j * rng.standard_normal((n1, n2, nf)),
-                        2, 0)
+    spectrum = [rng.standard_normal((n1, n2)) if _is_real_slice(f, n3)
+                else rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+                for f in range(n3 // 2 + 1)]
     row = n2 * n3
     block = (data.draw(st.integers(1, n1 - 1), label="rows") * row
              + data.draw(st.integers(0, row - 1), label="spare"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "SLAB_ENTRIES", block)
         assert len(slabs((n1, n2, n3))) > 1
-        blocked = _from_spectral_stack(stack, n3)
-    assert np.array_equal(blocked, np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
+        blocked = _from_spectrum(spectrum, n3)
+    assert np.array_equal(blocked, np.fft.irfft(np.stack(spectrum, axis=2), n=n3, axis=2))
 
 
 @pytest.mark.parametrize("block", [1, 5, 12, 13, 1 << 15])
