@@ -18,8 +18,11 @@ All updates are closed-form:
     Y += mu (X - W);  mu = min(rho mu, mu_max)
 
 Z reads only E, X, Z and mu, so it follows E directly and shares its
-dct3(X); a_k^T * b_k is fixed within an outer step and computed once per
-step. The sweep updates W, Y and Z in place and needs no work buffer. The
+dct3(X). a_k^T * b_k is fixed within an outer step and has tubal rank r:
+the step keeps only the mode-3 spectra of a_k^T and b_k, n r values per
+frequency each, and the W-update rebuilds the product into W's buffer, a
+block of rows at a time, so that no sweep holds it as a full tensor. The
+sweep updates W, Y and Z in place and needs no work buffer. The
 X-update forms its argument in W's buffer and idct3(E + Z/mu) in E's, so
 both are spent before the SVT: W is rebuilt from X and Y alone, and E
 from dct3(X) and Z. E's buffer is released before the SVT, which
@@ -42,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
-from .t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
-from .tensor_core import Tensor3, astensor3, fro_norm, l1_norm, ttranspose
+from .t_algebra import (spectral_product, stacked_spectrum, svt, tnn, tproduct, trace_pair,
+                        tsvd_leading)
+from .tensor_core import Tensor3, astensor3, fro_norm, ttranspose
 from .transforms import dct3, idct3, slabs
 
 _STOP_MODES = ("relative", "absolute")
@@ -203,13 +207,21 @@ def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
     return e
 
 
-def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Tensor3,
+def factor_spectra(a_k: Tensor3, b_k: Tensor3) -> tuple:
+    """The stacked mode-3 spectra of ttranspose(a_k) and b_k, from which
+    ``update_w`` rebuilds tproduct(ttranspose(a_k), b_k)."""
+    return stacked_spectrum(ttranspose(a_k)), stacked_spectrum(b_k)
+
+
+def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, factors: tuple,
              out: Tensor3 | None = None) -> Tensor3:
-    """W-update; ``grad`` is tproduct(ttranspose(a_k), b_k). ``m`` is read
-    only on ``omega``. Written into ``out`` when given, which may be
-    state.w; nothing else is modified."""
-    w = np.empty(grad.shape) if out is None else out
-    np.add(grad, state.y, out=w)
+    """W-update; ``factors`` is factor_spectra(a_k, b_k). The rank-r term
+    tproduct(ttranspose(a_k), b_k) is rebuilt bit for bit into the result,
+    a block of rows at a time, before y is added. ``m`` is read only on
+    ``omega``. Written into ``out`` when given, which may be state.w;
+    nothing else is modified."""
+    w = spectral_product(*factors, state.x.shape[2], out=out)
+    w += state.y
     w /= state.mu
     np.add(state.x, w, out=w)
     # observed entries are pinned to the data, free entries keep the update
@@ -263,7 +275,7 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
     else:
         state = warm
     state.inner_iter = 0
-    grad = tproduct(ttranspose(a_k), b_k)
+    factors = factor_spectra(a_k, b_k)
     skip_ez = cfg.lam == 0 and not state.z.any()
     # The updates write into the state's buffers, in the same operations,
     # in the same order, as their allocating forms. w's buffer holds the
@@ -291,7 +303,7 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
             np.subtract(state.e, dx, out=dx)
             dx *= state.mu
             state.z += dx
-        update_w(state, cfg, m, omega, grad, out=w)
+        update_w(state, cfg, m, omega, factors, out=w)
         if not np.isfinite(w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
@@ -306,7 +318,10 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
 
 
 def _surrogate(x, a_k, b_k, lam) -> float:
-    return tnn(x) - trace_pair(tproduct(a_k, x), ttranspose(b_k)) + lam * l1_norm(dct3(x))
+    low_rank = tnn(x) - trace_pair(tproduct(a_k, x), ttranspose(b_k))
+    d = dct3(x)
+    np.abs(d, out=d)  # in dct3's own result: no second full-size array
+    return low_rank + lam * float(d.sum())
 
 
 def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
@@ -354,9 +369,12 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
         outer_done = k
 
         if x_cur is None:  # the change from the zero-filled observation
-            delta = fro_norm(np.where(omega, state.x - m, state.x))
-        else:
-            delta = fro_norm(state.x - x_cur)
+            change = state.x.copy()
+            np.subtract(change, m, out=change, where=omega)
+        else:  # x_cur's buffer is not read again
+            change = np.subtract(state.x, x_cur, out=x_cur)
+        delta = fro_norm(change)
+        del change  # not held through the next step's factors
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(state.x))
         x_cur = state.x

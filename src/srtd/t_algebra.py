@@ -9,13 +9,17 @@ shrinks a slice through the eigendecomposition of its smaller Gram matrix
 when that is exact to rounding (``GRAM_COND``), and through the slice's
 SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
 first ``n3 // 2 + 1`` slices are ever touched: ``_spectrum`` and
-``_from_spectrum`` (rfft/irfft) are the library's only mode-3 DFT pair, and
+``_irfft_rows`` (rfft/irfft) are the library's only mode-3 DFT pair, and
 results are identical to the full-spectrum route up to rounding. The pair
 holds the spectrum as one contiguous (n1, n2) array per frequency, real for
 the zero-frequency slice and, when n3 is even, the Nyquist slice, and
 builds and inverts it block by block of rows, so that no full-size complex
 array is made. ``svt`` shrinks each slice in its own array, with at most
-two slice-sized matrices beside it.
+two slice-sized matrices beside it. A t-product (``spectral_product``, on
+spectra that ``stacked_spectrum`` holds as one real and one complex stack)
+forms each block of rows of every frequency's product in one batched
+product over the complex slices and one over the real ones, and inverts
+that block at once, so the product's spectrum is never held whole.
 
 ``svt`` and ``tsvd_leading`` factor their slices independently, on the
 calling thread and on helper threads that each call starts and joins
@@ -109,18 +113,20 @@ def _each_slice(fn, n: int) -> None:
         raise errors[0]
 
 
-def _spectrum(a: Tensor3) -> list:
+def _spectrum(a: Tensor3, out: list | None = None) -> list:
     """The rfft of ``a`` along mode 3 as its ``n3 // 2 + 1`` frequency
     slices, each a contiguous (n1, n2) array of its own. The zero-frequency
     slice, and the Nyquist slice when n3 is even, are exactly real and are
     held as real arrays: real factorizations are about twice as fast and
     attach no unit phases to the factors. The rfft runs block by block of
     rows, so no full-size complex array is made; each tube's rfft is the
-    same as in the whole-array call."""
+    same as in the whole-array call. With ``out``, a list of such arrays,
+    the slices are written there."""
     n1, n2, n3 = a.shape
     nf = n3 // 2 + 1
-    out = [np.empty((n1, n2), np.float64 if f == 0 or 2 * f == n3 else np.complex128)
-           for f in range(nf)]
+    if out is None:
+        out = [np.empty((n1, n2), np.float64 if f == 0 or 2 * f == n3 else np.complex128)
+               for f in range(nf)]
     for s in slabs((n1, n2, 2 * nf)):  # a block's tube holds 2 * nf floats
         block = np.fft.rfft(a[s], axis=2)
         for f, fs in enumerate(out):
@@ -129,21 +135,71 @@ def _spectrum(a: Tensor3) -> list:
     return out
 
 
-def _from_spectrum(spectrum: list, n3: int) -> Tensor3:
-    """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
-    ``_spectrum``), written into a new array block by block of rows, so
-    that no full-size complex array is made; each tube's irfft is the same
-    as in the whole-array call."""
-    n1, n2 = spectrum[0].shape
-    out = np.empty((n1, n2, n3))
+def _irfft_rows(out: Tensor3, fill) -> Tensor3:
+    """irfft along mode 3 into ``out``, block by block of rows, so that no
+    full-size complex array is made: ``fill(block, s)`` writes the
+    ``n3 // 2 + 1`` frequencies of rows ``s`` along the last axis of the
+    complex ``block``. Each tube's irfft is the same as in the whole-array
+    call. A block holds two rows or more where out has them: numpy hands
+    ``spectral_product``'s product of one row to gemv, which sums in
+    another order than gemm, so its bits would depend on the cut."""
+    n1, n2, n3 = out.shape
+    nf = n3 // 2 + 1
     # a block's tube holds 2 * nf floats, and its irfft n3 more
-    for s in slabs((n1, n2, 2 * len(spectrum) + n3)):
-        block = np.empty((*out[s].shape[:2], len(spectrum)), np.complex128)
-        for f, fs in enumerate(spectrum):
-            block[:, :, f] = fs[s]
+    for s in slabs((n1, n2, 2 * nf + n3), least=2):
+        block = np.empty((*out[s].shape[:2], nf), np.complex128)
+        fill(block, s)
         out[s] = np.fft.irfft(block, n=n3, axis=2)
         del block
     return out
+
+
+def _from_spectrum(spectrum: list, n3: int) -> Tensor3:
+    """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
+    ``_spectrum``), into a new array, by ``_irfft_rows``."""
+
+    def fill(block, s):
+        for f, fs in enumerate(spectrum):
+            block[:, :, f] = fs[s]
+
+    return _irfft_rows(np.empty((*spectrum[0].shape, n3)), fill)
+
+
+def stacked_spectrum(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
+    """``_spectrum`` of ``a`` as two stacks for ``spectral_product``: the
+    real slices (zero frequency, then Nyquist when n3 is even) as one real
+    (nr, n1, n2) array, and the others, in order of frequency, as one
+    complex (n3 // 2 + 1 - nr, n1, n2) array."""
+    n1, n2, n3 = a.shape
+    nr = 2 if n3 % 2 == 0 else 1
+    real = np.empty((nr, n1, n2))
+    cplx = np.empty((n3 // 2 + 1 - nr, n1, n2), np.complex128)
+    _spectrum(a, out=[real[0], *cplx, *real[1:]])
+    return real, cplx
+
+
+def spectral_product(fa: tuple, fb: tuple, n3: int, out: Tensor3 | None = None) -> Tensor3:
+    """The t-product of the tensors whose ``stacked_spectrum`` are ``fa``
+    (n1 by n2) and ``fb`` (n2 by n4), each n3 long: each frequency's matrix
+    product, inverted by ``_irfft_rows`` into ``out`` (a new array when
+    None), so that the product's spectrum is never held whole. A block of
+    rows takes one batched product over the complex frequencies and one over
+    the real ones, which multiply in real arithmetic."""
+    (ra, ca), (rb, cb) = fa, fb
+    shape = (ra.shape[1], rb.shape[2], n3)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DimensionError(f"out must have shape {shape}, got {out.shape}")
+
+    def fill(block, s):
+        block[:, :, 1:1 + len(ca)] = np.matmul(ca[:, s], cb).transpose(1, 2, 0)
+        real = np.matmul(ra[:, s], rb)
+        block[:, :, 0] = real[0]
+        if len(real) == 2:
+            block[:, :, -1] = real[1]
+
+    return _irfft_rows(out, fill)
 
 
 def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
@@ -152,8 +208,7 @@ def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
     b = astensor3(b, "b")
     if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
-    fc = [fa @ fb for fa, fb in zip(_spectrum(a), _spectrum(b))]
-    return _from_spectrum(fc, a.shape[2])
+    return spectral_product(stacked_spectrum(a), stacked_spectrum(b), a.shape[2])
 
 
 def _slice_svd(m: np.ndarray, full_matrices: bool = False):

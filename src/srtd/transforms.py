@@ -15,10 +15,11 @@ part and coefficient n - k minus the imaginary part of the same rotated
 value. The inverse runs that route backwards through ``irfft``. Each mode
 is transformed slab by slab into the result array, so the work buffers stay
 in cache; ``dct3`` and ``idct3`` can write into a given array instead of a
-new one, including their input. The slab buffers are not free on small tensors: a slab of
-``SLAB_ENTRIES`` entries is half of a 64x64x16 tensor, and a mode-1 slab is
-copied once more by its reshape, so a call's own temporaries measured 0.50
-tensor sizes on 64x64x32 and 1.00 on 64x64x16 and 48x40x24.
+new one, including their input. The slab buffers are not free on small
+tensors: each slab's buffer is released before the next one is made, but
+one slab of ``SLAB_ENTRIES`` entries is half of a 64x64x16 tensor, so a
+call's own temporaries measured 0.25 tensor sizes on 64x64x32, 0.50 on
+64x64x16 and 0.71 on 48x40x24.
 """
 
 from __future__ import annotations
@@ -70,12 +71,17 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, inv
 
 
-def slabs(shape, cut: int = 0) -> list:
+def slabs(shape, cut: int = 0, least: int = 1) -> list:
     """Slices that cut axis ``cut`` of an array of ``shape`` into slabs of
-    about ``SLAB_ENTRIES`` entries, and of at least one index each."""
+    about ``SLAB_ENTRIES`` entries, and of at least ``least`` indices each
+    where the axis is that long: a shorter last slab joins the one before."""
+    n = shape[cut]
     row = math.prod(shape[:cut] + shape[cut + 1:])
-    step = max(1, SLAB_ENTRIES // max(1, row))
-    return [slice(lo, lo + step) for lo in range(0, shape[cut], step)]
+    step = max(least, SLAB_ENTRIES // max(1, row))
+    lows = list(range(0, n, step))
+    if len(lows) > 1 and n - lows[-1] < least:
+        del lows[-1]
+    return [slice(lo, hi) for lo, hi in zip(lows, lows[1:] + [n])]
 
 
 def _matmul_along(c, s, out, axis: int) -> None:
@@ -101,6 +107,7 @@ def _matrix_mode(src, dst, c, axis: int) -> None:
         tmp = np.empty(s.shape)
         _matmul_along(c, s, tmp, axis)
         s[...] = tmp
+        del tmp  # not held while the next slab's is made
 
 
 def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
@@ -142,6 +149,7 @@ def _fft_mode(src, dst, axis: int, inverse: bool) -> None:
             wv = w.transpose(2, 0, 1) if last else w
             dv[:m + 1] = wv.real
             np.negative(wv.imag[h - 1:0:-1], out=dv[m + 1:])
+        del w, wv, tmp, tv  # not held while the next slab's are made
 
 
 def _check_out(a: Tensor3, out: Tensor3) -> None:

@@ -16,6 +16,7 @@ from srtd.solver import (
     SolverConfig,
     SolverState,
     admm_solve,
+    factor_spectra,
     soft_threshold,
     srtd_complete,
     update_e,
@@ -217,22 +218,23 @@ def test_update_e_prox_optimality():
 def test_update_w_full_and_empty_masks():
     rng = np.random.default_rng(9)
     state = _make_state(rng, (4, 5, 3))
-    grad = tproduct(ttranspose(rng.standard_normal((2, 4, 3))), rng.standard_normal((2, 5, 3)))
+    a_k, b_k = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 5, 3))
+    factors = factor_spectra(a_k, b_k)
     m = rng.standard_normal((4, 5, 3))
     full = np.ones(m.shape, dtype=bool)
-    assert np.array_equal(update_w(state, SolverConfig(r=2), m, full, grad), m)
-    w_free = state.x + (grad + state.y) / state.mu
-    out = update_w(state, SolverConfig(r=2), m, ~full, grad)
+    assert np.array_equal(update_w(state, SolverConfig(r=2), m, full, factors), m)
+    w_free = state.x + (tproduct(ttranspose(a_k), b_k) + state.y) / state.mu
+    out = update_w(state, SolverConfig(r=2), m, ~full, factors)
     assert np.allclose(out, w_free, atol=1e-12)
 
 
 def test_update_w_pins_observed_entries_bitwise():
     rng = np.random.default_rng(10)
     state = _make_state(rng, (6, 6, 2))
-    grad = tproduct(ttranspose(rng.standard_normal((2, 6, 2))), rng.standard_normal((2, 6, 2)))
+    factors = factor_spectra(rng.standard_normal((2, 6, 2)), rng.standard_normal((2, 6, 2)))
     m = rng.standard_normal((6, 6, 2))
     omega = random_mask(m.shape, 0.4, 0)
-    out = update_w(state, SolverConfig(r=2), m, omega, grad)
+    out = update_w(state, SolverConfig(r=2), m, omega, factors)
     assert np.array_equal(out[omega], m[omega])
 
 
@@ -368,8 +370,9 @@ def test_complete_rejects_oversized_rank():
 
 
 def test_complete_hoists_sweep_invariant_work(monkeypatch):
-    # dct3(x) once per sweep, and the W-gradient once per outer step: the
-    # counts below stay exact whatever the number of sweeps
+    # dct3(x) once per sweep, and the spectra of the W-update's factors once
+    # per outer step: the counts below stay exact whatever the number of
+    # sweeps
     calls = Counter()
 
     def counted(name):
@@ -381,6 +384,7 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         monkeypatch.setattr(solver, name, wrapper)
 
     counted("dct3")
+    counted("factor_spectra")
     counted("tproduct")
     g, omega = _low_rank_instance(22, 10, 2, 3, 0.6)
     for lam in (0.05, 0.0):
@@ -392,8 +396,10 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         # are skipped; one surrogate per outer step and at the end; the
         # final DCT residual
         assert calls["dct3"] == (sweeps if lam else outer) + outer + 2
-        # the W-gradient and the surrogate per outer step, the final surrogate
-        assert calls["tproduct"] == 2 * outer + 1
+        # the factor spectra per outer step; no sweep takes a t-product, and
+        # the only ones left are the surrogate's, per outer step and at the end
+        assert calls["factor_spectra"] == outer
+        assert calls["tproduct"] == outer + 1
 
 
 @_PROPERTY

@@ -164,6 +164,21 @@ def test_slabs_cut_an_axis_into_whole_rows_of_about_slab_entries(monkeypatch, sh
             assert rows == 1 or rows * row <= block < (rows + 1) * row
 
 
+@pytest.mark.parametrize("block", [1, 5, 12, 13, 1 << 15])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8])
+def test_slabs_with_a_least_count_leave_no_shorter_slab(monkeypatch, n, block):
+    # the slabs still cover the axis once, in order, and none is shorter
+    # than ``least`` unless the axis is: a short last slab joins the one
+    # before it, which then holds fewer than ``least`` indices more
+    monkeypatch.setattr(transforms, "SLAB_ENTRIES", block)
+    for least in (1, 2, 3):
+        got = slabs((n, 4), 0, least)
+        assert [i for s in got for i in range(n)[s]] == list(range(n))
+        assert all(len(range(n)[s]) >= min(least, n) for s in got)
+        assert all(len(range(n)[s]) < max(least, block // 4) + least for s in got)
+    assert slabs((n, 4), 0, 1) == slabs((n, 4))
+
+
 def test_dct_constant_tensor_has_single_dc_coefficient():
     c = 2.5
     out = dct3(np.full((4, 4, 4), c))
