@@ -44,6 +44,8 @@ DEFAULTS = {
 
 _FLOAT_KEYS = ("sr", "lam", "rho", "mu_init", "mu_max", "eps")
 _INT_KEYS = ("seed", "rank", "max_outer", "max_inner", "jobs")
+_PATH_KEYS = ("ref", "mask_file", "out", "report")
+_PSNR_MODES = ("standard", "paper", "both")
 _GLOB_CHARS = "*?["
 
 
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--stop-mode", dest="stop_mode", choices=("relative", "absolute"),
                         help="iterate-change test scaling (default relative)")
         sp.add_argument("--psnr-mode", dest="psnr_mode",
-                        choices=("standard", "paper", "both"),
+                        choices=_PSNR_MODES,
                         help="which PSNR to print per row (report always holds both)")
         sp.add_argument("--out", help="output directory (default srtd_out)")
         sp.add_argument("--report", help="report path, .csv or .json (default <out>/report.csv)")
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_psnr.add_argument("--sr", type=float, help="regenerate a random mask for paper mode")
     sp_psnr.add_argument("--seed", type=int, help="seed of that random mask (default 0)")
     sp_psnr.add_argument("--psnr-mode", dest="psnr_mode",
-                         choices=("standard", "paper", "both"),
+                         choices=_PSNR_MODES,
                          help="which value(s) to print (default standard)")
     return parser
 
@@ -161,6 +163,8 @@ def _merge_config(args: dict) -> dict:
     for key in _FLOAT_KEYS:
         if merged[key] is not None:
             try:
+                if isinstance(merged[key], bool):  # float() would read true as 1.0
+                    raise TypeError
                 merged[key] = float(merged[key])
             except (TypeError, ValueError):
                 raise ParameterError(f"{key} must be a number, got {merged[key]!r}")
@@ -175,8 +179,24 @@ def _merge_config(args: dict) -> dict:
             merged[key] = int(value)
         except (TypeError, ValueError):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
+    # a config file's values skip the checks argparse makes on its flags
+    if merged["psnr_mode"] not in _PSNR_MODES:
+        raise ParameterError(
+            f"psnr_mode must be one of {_PSNR_MODES}, got {merged['psnr_mode']!r}")
+    values = merged["values"]
+    if values is not None:
+        if not (isinstance(values, list) and values
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+            raise ParameterError(f"values must be a non-empty list of numbers, got {values!r}")
+        merged["values"] = [float(v) for v in values]
+    for key in _PATH_KEYS:
+        if not isinstance(merged[key], (str, type(None))):
+            raise ParameterError(f"{key} must be a path, got {merged[key]!r}")
     if isinstance(merged["input"], str):
         merged["input"] = [merged["input"]]
+    if merged["input"] is not None and not (isinstance(merged["input"], list)
+                                            and all(isinstance(p, str) for p in merged["input"])):
+        raise ParameterError(f"input must be a path or a list of paths, got {merged['input']!r}")
     return merged
 
 

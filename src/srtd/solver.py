@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
-from .t_algebra import (spectral_product, stacked_spectrum, svt, tnn, tproduct, trace_pair,
-                        tsvd_leading)
+from .t_algebra import spectral_product, stacked_spectrum, svt, tnn, tsvd_leading
 from .tensor_core import Tensor3, astensor3, fro_norm, ttranspose
 from .transforms import dct3, idct3, slabs
 
@@ -318,7 +317,12 @@ def admm_solve(m: Tensor3, omega, a_k: Tensor3, b_k: Tensor3, cfg: SolverConfig,
 
 
 def _surrogate(x, a_k, b_k, lam) -> float:
-    low_rank = tnn(x) - trace_pair(tproduct(a_k, x), ttranspose(b_k))
+    """tnn(x) - tr(a_k * x * b_k^T) + lam ||dct3(x)||_1. The trace term is
+    ``trace_pair(tproduct(a_k, x), ttranspose(b_k))``, which reads only the
+    zero-frequency slices, taken here from those slices alone."""
+    low_rank = tnn(x) - float(np.sum((a_k.sum(2) @ x.sum(2)) * b_k.sum(2)))
+    if lam == 0:
+        return low_rank
     d = dct3(x)
     np.abs(d, out=d)  # in dct3's own result: no second full-size array
     return low_rank + lam * float(d.sum())

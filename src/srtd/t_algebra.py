@@ -21,14 +21,18 @@ forms each block of rows of every frequency's product in one batched
 product over the complex slices and one over the real ones, and inverts
 that block at once, so the product's spectrum is never held whole.
 
-``svt`` and ``tsvd_leading`` factor their slices independently, on the
-calling thread and on helper threads that each call starts and joins
-(``_each_slice``); the module keeps no thread or other state between
-calls. The slices get the CPUs that BLAS leaves free (``_slice_threads``):
-with no BLAS thread count set in the environment, they run one after
-another on the calling thread and no helper is started. A slice's
-arithmetic is the same on any thread, so results do not depend on the
-number of slice threads.
+``svt`` shrinks its slices independently, on the calling thread and on
+helper threads that each call starts and joins (``_each_slice``); the
+module keeps no thread or other state between calls. The slices get the
+CPUs that BLAS leaves free (``_slice_threads``): with no BLAS thread count
+set in the environment, they run one after another on the calling thread
+and no helper is started. A slice's arithmetic is the same on any thread,
+so results do not depend on the number of slice threads.
+
+``tsvd_leading`` factors its slices one after another on the calling
+thread, dropping each once factored, so that it holds the spectrum and one
+slice's two SVD factors at most: two slices factored at once would hold
+two slices' factors.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _slice_threads() -> int:
-    """Threads that factor slices at once: the CPUs this process may run on,
-    divided by the BLAS threads of each call. BLAS threads come from the
-    first of ``_BLAS_THREAD_VARS`` that holds a positive integer; with none
-    set, BLAS is taken to use every CPU, and the slices run on one thread."""
+    """Threads that shrink ``svt``'s slices at once: the CPUs this process
+    may run on, divided by the BLAS threads of each call. BLAS threads come
+    from the first of ``_BLAS_THREAD_VARS`` that holds a positive integer;
+    with none set, BLAS is taken to use every CPU, and the slices run on
+    one thread."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -227,23 +232,26 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[Tensor3, Tensor3]:
     """The first ``r`` lateral slices of the T-SVD factors u (n1,r,n3) and
     v (n2,r,n3) of ``a``, without s and without the trailing singular
     vectors. Equal to ``u[:, :r, :]`` and ``v[:, :r, :]`` of the full T-SVD
-    up to the phase of each singular vector pair. The slices are factored
-    by ``_each_slice``; the result does not depend on its thread count."""
+    up to the phase of each singular vector pair.
+
+    The slices are factored one after another on the calling thread, in
+    order of frequency. Each slice is dropped once factored, and only the
+    r leading columns of its factors are kept, so that at most the
+    spectrum and one slice's two SVD factors are alive at once."""
     a = astensor3(a)
     n1, n2, n3 = a.shape
     kmax = min(n1, n2)
     if not 1 <= r <= kmax:
         raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
     fa = _spectrum(a)
-    fu, fv = [None] * len(fa), [None] * len(fa)
-
-    def factor(i):
+    fu, fv = [], []
+    for i in range(len(fa)):
         u, _, vh = _slice_svd(fa[i])
         fa[i] = None  # the slice is not needed once factored
         # copies, so that the full factors are not held until the end
-        fu[i], fv[i] = u[:, :r].copy(), vh[:r].conj().T.copy()
-
-    _each_slice(factor, len(fa))
+        fu.append(u[:, :r].copy())
+        fv.append(vh[:r].conj().T.copy())
+        del u, vh  # not held through the next slice's SVD
     return _from_spectrum(fu, n3), _from_spectrum(fv, n3)
 
 

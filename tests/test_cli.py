@@ -168,6 +168,35 @@ def test_config_file_errors(tmp_path):
     garbled.write_text("{not json")
     assert cli.main(args + ["--config", str(garbled)]) == 3
     assert cli.main(args + ["--config", str(tmp_path / "missing.json")]) == 2
+    # a config's values get the checks the same flags get on the command line
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text('{"psnr_mode": "bogus"}')
+    assert cli.main(args + ["--out", str(tmp_path / "out"), "--config", str(bogus)]) == 2
+    assert cli.main(["psnr", "--input", str(img_path), "--ref", str(img_path),
+                     "--config", str(bogus)]) == 2
+    sweep = ["sweep", "--input", str(img_path), "--sr", "0.5", "--rank", "1",
+             "--out", str(tmp_path / "out"), "--axis", "lambda"]
+    for values in (0.1, ["x"], [], [True], None):
+        config = tmp_path / "values.json"
+        config.write_text(json.dumps({"values": values}))
+        assert cli.main(sweep + ["--config", str(config)]) == 2
+    paths = tmp_path / "paths.json"
+    for key, value in (("report", 7), ("out", ["a"]), ("mask_file", 3), ("input", 5),
+                       ("input", [str(img_path), 4])):
+        paths.write_text(json.dumps({key: value}))
+        argv = ["complete", "--sr", "0.5", "--rank", "1", "--config", str(paths)]
+        if key != "input":
+            argv += ["--input", str(img_path)]
+        if key != "out":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+    for key in ("sr", "lambda"):
+        paths.write_text(json.dumps({key: True}))
+        assert cli.main(["complete", "--input", str(img_path), "--rank", "1",
+                         "--out", str(tmp_path / "out"), "--config", str(paths)]) == 2
+    paths.write_text('{"ref": 3}')
+    assert cli.main(["psnr", "--input", str(img_path), "--config", str(paths)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["seed", "rank", "max_outer", "max_inner", "jobs"])

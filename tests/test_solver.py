@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srtd import solver
+from srtd import solver, t_algebra
 from srtd.errors import DimensionError, DivergenceError, ParameterError
 from srtd.evalkit import apply_mask, random_mask
 from srtd.solver import (
@@ -24,7 +24,7 @@ from srtd.solver import (
     update_w,
     update_x,
 )
-from srtd.t_algebra import svt, tproduct, trace_pair
+from srtd.t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
 from srtd.tensor_core import fro_norm, l1_norm, ttranspose
 from srtd.transforms import dct3, idct3
 
@@ -385,7 +385,14 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
 
     counted("dct3")
     counted("factor_spectra")
-    counted("tproduct")
+    counted("spectral_product")
+    tproduct = t_algebra.tproduct
+
+    def counted_tproduct(*args):
+        calls["tproduct"] += 1
+        return tproduct(*args)
+
+    monkeypatch.setattr(t_algebra, "tproduct", counted_tproduct)
     g, omega = _low_rank_instance(22, 10, 2, 3, 0.6)
     for lam in (0.05, 0.0):
         calls.clear()
@@ -393,13 +400,39 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         outer, sweeps = report.outer_iters, report.inner_iters_total
         assert sweeps > outer
         # per sweep with lam > 0, or per call at lam = 0 where the E/Z steps
-        # are skipped; one surrogate per outer step and at the end; the
-        # final DCT residual
-        assert calls["dct3"] == (sweeps if lam else outer) + outer + 2
-        # the factor spectra per outer step; no sweep takes a t-product, and
-        # the only ones left are the surrogate's, per outer step and at the end
+        # are skipped; with lam > 0, one surrogate per outer step and at the
+        # end (its l1 term is zero at lam = 0, and not taken); the final DCT
+        # residual
+        assert calls["dct3"] == (sweeps + outer + 2 if lam else outer + 1)
+        # the factor spectra per outer step, and the rank-r term rebuilt
+        # from them per sweep; the surrogate takes its trace from the
+        # zero-frequency slices, so no t-product is taken
         assert calls["factor_spectra"] == outer
-        assert calls["tproduct"] == outer + 1
+        assert calls["spectral_product"] == sweeps
+        assert calls["tproduct"] == 0
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 5])
+def test_surrogate_takes_the_trace_from_the_zero_frequency_slices(monkeypatch, n3):
+    # tr(a_k * x * b_k^T), read from the zero-frequency slices alone, is
+    # the trace of the full t-product; at lam = 0 the objective is its
+    # low-rank term alone, and no dct3 is taken
+    rng = np.random.default_rng(n3)
+    x = rng.standard_normal((9, 7, n3))
+    u_r, v_r = tsvd_leading(x, 3)
+    a_k, b_k = ttranspose(u_r), ttranspose(v_r)
+    trace = trace_pair(tproduct(a_k, x), ttranspose(b_k))
+    low_rank = tnn(x) - trace
+    full = solver._surrogate(x, a_k, b_k, 0.3)
+    assert abs(full - low_rank - 0.3 * l1_norm(dct3(x))) <= 1e-12 * abs(full)
+
+    def no_dct3(*args, **kwargs):
+        raise AssertionError("dct3 taken at lam = 0")
+
+    monkeypatch.setattr(solver, "dct3", no_dct3)
+    assert abs(solver._surrogate(x, a_k, b_k, 0.0) - low_rank) <= 1e-12 * abs(low_rank)
+    monkeypatch.setattr(solver, "tnn", lambda x: 0.0)
+    assert abs(solver._surrogate(x, a_k, b_k, 0.0) + trace) <= 1e-12 * abs(trace)
 
 
 @_PROPERTY

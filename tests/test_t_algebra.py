@@ -584,6 +584,25 @@ def test_pooled_slices_are_bitwise_serial(slice_threads, workers, n1, n2, n3):
             assert np.array_equal(got, want)
 
 
+def test_tsvd_leading_starts_no_slice_thread(slice_threads, monkeypatch):
+    # svt shrinks its slices on slice threads; tsvd_leading factors its
+    # slices on the calling thread, one after another, whatever the count
+    slice_threads(2)
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    x = np.random.default_rng(23).standard_normal((6, 5, 8))
+    tsvd_leading(x, 2)
+    assert started == []
+    svt(x, 0.5)
+    assert "srtd-slice" in started
+
+
 def test_each_slice_runs_slices_at_once(slice_threads):
     # each of the first two slices waits for the other one to start, which
     # only a second thread can do
