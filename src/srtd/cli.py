@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, FormatError, ParameterError, SrtdError
 from .evalkit import mask_from_image, psnr, random_mask
 from .pnm import load_image, load_video, save_image
-from .solver import SolverConfig, srtd_complete
+from .solver import SolverConfig, check_problem, srtd_complete
 
 REPORT_SCHEMA = "srtd-report-v1"
 REPORT_COLUMNS = ("input", "mask", "lambda", "rank", "psnr_standard", "psnr_paper",
@@ -333,20 +333,24 @@ def _execute(tasks, jobs: int, on_row):
 
 
 def run_complete(spec: ExperimentSpec, on_row=None):
-    """One completion per input; writes recovered media, returns report rows."""
-    os.makedirs(spec.out, exist_ok=True)
+    """One completion per input; writes recovered media, returns report rows.
+    The output directory is made only once every input, mask and rank has
+    been checked."""
     tasks = []
     for path in spec.inputs:
         m, is_video = _load_input(path)
         omega, mask_id = _build_mask(spec, m.shape)
+        check_problem(m, omega, spec.solver)
         tasks.append(lambda p=path, m=m, v=is_video, o=omega, mid=mask_id:
                      _solve_one(spec, p, spec.solver, m, v, o, mid, ""))
+    os.makedirs(spec.out, exist_ok=True)
     return _execute(tasks, spec.jobs, on_row)
 
 
 def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
     """One completion per (input, value). For lambda/rank sweeps the mask is
-    built once per input so rows are mask-matched; sr sweeps rebuild it."""
+    built once per input so rows are mask-matched; sr sweeps rebuild it.
+    The output directory is made only once every task has been checked."""
     if axis not in ("lambda", "rank", "sr"):
         raise ParameterError(f"axis must be lambda, rank, or sr, got {axis!r}")
     if not values:
@@ -356,7 +360,6 @@ def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
         for v in values:
             if not float(v).is_integer():  # False for nan and inf too
                 raise ParameterError(f"rank values must be integers, got {v}")
-    os.makedirs(spec.out, exist_ok=True)
 
     tasks = []
     for path in spec.inputs:
@@ -373,8 +376,10 @@ def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
                 cfg = spec.solver
                 omega, mask_id = _build_mask(spec, m.shape, sr=float(v))
                 tag = f"_sr{float(v):g}"
+            check_problem(m, omega, cfg)
             tasks.append(lambda p=path, c=cfg, m=m, vid=is_video, o=omega, mid=mask_id, t=tag:
                          _solve_one(spec, p, c, m, vid, o, mid, t))
+    os.makedirs(spec.out, exist_ok=True)
     return _execute(tasks, spec.jobs, on_row)
 
 

@@ -22,18 +22,26 @@ dct3(X). U_r * V_r^T, the t-product of the leading T-SVD factors, is fixed
 within an outer step and has tubal rank r: the step keeps the factors as
 ``tsvd_leading`` returns them, each frequency slice's U_f[:, :r] and
 V_f^H[:r], and the W-update rebuilds their product into W's buffer, a
-block of rows at a time, so that no sweep holds it as a full tensor. The
-sweep updates W, Y and Z in place and needs no work buffer. The
-X-update forms its argument in W's buffer and idct3(E + Z/mu) in E's, so
-both are spent before the SVT: W is rebuilt from X and Y alone, and E
-from dct3(X) and Z. E's buffer is released before the SVT, which
-allocates the new X only once its slices are shrunk. The iterate change,
-dct3(X) and the Z-update then use W's buffer before the W-update refills
-it, and the new E goes into the previous X's buffer.
+block of rows at a time, so that no sweep holds it as a full tensor.
+
+Between sweeps the state is four tensors: X, the argument of the next
+X-update's SVT, and the duals Y and Z. A sweep runs
+
+    SVT -> E -> Z -> W -> Y -> mu -> the next argument
+
+The SVT writes the new X over the previous one, a block of rows at a time,
+and returns the iterate change. The argument's buffer is then spent: it
+holds dct3(X) and the Z-update's difference, then W, and at the end of the
+sweep the next argument, formed from W, Y, Z, mu and E. Beside the SVT's
+spectrum, E is the only full-size array a sweep allocates, and it is
+dropped once the argument is formed. The sweep takes its residuals ‖X−W‖
+and ‖E−dct3(X)‖ from the Y- and Z-updates' differences. The outer loop
+keeps no copy of X: it stops once an outer step's first sweep changes X
+by at most eps_outer, which means that the step ran one sweep.
 
 With lambda = 0 (plain TNNR) and Z = 0 on entry, E = dct3(X) and Z = 0
-after every sweep, so the inner loop skips the E/Z steps, uses the previous
-X for idct3(E + Z/mu), and sets E = dct3(X) once at the end of the call.
+after every sweep, so the inner loop skips the E/Z steps and uses X for
+idct3(E + Z/mu) in the next argument.
 """
 
 from __future__ import annotations
@@ -106,26 +114,31 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable iterate bundle for one solve. ``e`` and ``z`` live in the
-    DCT domain."""
+    """Iterate bundle of one solve between sweeps: x, ``arg`` (the argument
+    of the next X-update's SVT), and the duals y and z, z in the DCT
+    domain. W and E live only inside a sweep. ``first_change`` is the
+    last call's first-sweep change of x, as its stop test measures it, and
+    ``residuals`` the last sweep's (‖x−w‖_F, ‖e−dct3(x)‖_F)."""
 
     x: Tensor3
-    w: Tensor3
-    e: Tensor3
+    arg: Tensor3
     y: Tensor3
     z: Tensor3
     mu: float
     inner_iter: int = 0
     outer_iter: int = 0
+    first_change: float = math.inf
+    residuals: tuple = (math.inf, math.inf)
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Result of srtd_complete. ``final_residuals`` is
-    (‖x−w‖_F, ‖e−dct3(x)‖_F, d), d being the value the last outer stop test
-    compared with eps_outer: ‖Δx‖_F with stop_mode="absolute", and
-    ‖Δx‖_F / max(1, ‖x‖_F) with stop_mode="relative", Δx being the last
-    outer step's change of x."""
+    (‖x−w‖_F, ‖e−dct3(x)‖_F, d): the first two are the last sweep's, as
+    its Y- and Z-updates formed them, and d is the value the last outer
+    stop test compared with eps_outer, the last outer step's first-sweep
+    change of x: ‖Δx‖_F with stop_mode="absolute", and
+    ‖Δx‖_F / max(1, ‖x‖_F) with stop_mode="relative"."""
 
     recovered: Tensor3
     outer_iters: int
@@ -144,15 +157,19 @@ def soft_threshold(x, tau):
     return x - np.clip(x, -tau, tau)
 
 
-def _add_scaled_difference(y: Tensor3, x: Tensor3, w: Tensor3, mu: float) -> None:
+def _add_scaled_difference(y: Tensor3, x: Tensor3, w: Tensor3, mu: float) -> float:
     """y += mu (x - w), a slab at a time, in the operations and order of
-    ``y + mu * (x - w)``; the last slab's temporary dies with the call
-    instead of living through the next sweep's SVT."""
+    ``y + mu * (x - w)``; returns ‖x − w‖_F, from the slabs' sums of
+    squares. The last slab's temporary dies with the call instead of
+    living through the next sweep's SVT."""
+    squares = 0.0
     for s in slabs(y.shape):
         step = np.subtract(x[s], w[s])
+        squares += float(np.vdot(step, step))
         step *= mu
         np.add(y[s], step, out=y[s])
         del step  # not held while the next slab's is made
+    return math.sqrt(squares)
 
 
 def _pin(w: Tensor3, m: Tensor3, omega) -> None:
@@ -168,35 +185,26 @@ def _pin(w: Tensor3, m: Tensor3, omega) -> None:
         del flip  # not held while the next slab's is made
 
 
-def update_x(state: SolverState, cfg: SolverConfig, back: Tensor3 | None = None) -> Tensor3:
-    """X-update; ``back`` stands in for idct3(e + z/mu) when given.
-
-    The SVT's argument is formed in state.w's buffer, and idct3(e + z/mu),
-    when computed here, in state.e's; both are overwritten. state.e is set
-    to None before the SVT, so that its buffer can be freed while the
-    slices are shrunk. Returns the new x, a new array; y and z are not
-    modified."""
-    w, e = state.w, state.e
-    state.e = None
+def update_x(state: SolverState, cfg: SolverConfig, w: Tensor3,
+             e: Tensor3 | None = None) -> Tensor3:
+    """The next X-update's argument, (w − y/mu + idct3(e + z/mu)) / 2,
+    formed in w's buffer and returned; idct3(e + z/mu) is formed in e's,
+    and both are overwritten. With ``e`` None, state.x stands in for
+    idct3(e + z/mu). x, y and z are not modified. The X-update itself,
+    x = svt(argument, 1/(2 mu)), opens the next sweep."""
     for s in slabs(w.shape):
-        if back is None:
+        if e is not None:
             np.add(e[s], state.z[s] / state.mu, out=e[s])
         np.subtract(w[s], state.y[s] / state.mu, out=w[s])
-    if back is None:
-        back = idct3(e, out=e)
-    del e
-    w += back
-    del back  # not held through the SVT, which may shrink several slices at once
+    w += state.x if e is None else idct3(e, out=e)
     w *= 0.5
-    return svt(w, 1.0 / (2.0 * state.mu))
+    return w
 
 
-def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3,
-             out: Tensor3 | None = None) -> Tensor3:
-    """E-update; ``dx`` is dct3(state.x). Written into ``out`` when given,
-    which may be state.e; nothing else is modified."""
-    e = np.empty(dx.shape) if out is None else out
-    np.divide(state.z, state.mu, out=e)
+def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
+    """E-update, into a new array; ``dx`` is dct3(state.x). Nothing else is
+    modified."""
+    e = np.divide(state.z, state.mu)
     np.subtract(dx, e, out=e)
     # soft_threshold in place, a slab at a time so that clip's result stays small
     tau = cfg.lam / state.mu
@@ -211,7 +219,7 @@ def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, factors: 
     """W-update; ``factors`` is the pair ``tsvd_leading`` returns. Their
     t-product, the rank-r term, is rebuilt into the result, a block of rows
     at a time, before y is added. ``m`` is read only on ``omega``. Written
-    into ``out`` when given, which may be state.w; nothing else is
+    into ``out`` when given, which may be state.arg; nothing else is
     modified."""
     w = spectral_product(*factors, state.x.shape[2], out=out)
     w += state.y
@@ -241,71 +249,66 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
 
     ``m`` is read only on ``omega``; its other entries may hold anything.
     ``warm`` continues a previous state (duals and mu included) and is
-    returned, with its w, y and z updated in place and its x and e rebound:
-    the array it held as e is overwritten and then dropped, and the array
-    it held as x is never written, so a caller may keep it. If the call
-    raises, the state's e holds no E iterate and may be None. Without
-    ``warm``, x = w = m on omega and 0 elsewhere, e = z = 0, and y is
-    seeded uniform [0,1). Stops when the iterate change is at most
-    cfg.eps_outer or max_inner is hit. Raises DivergenceError if an iterate
-    goes non-finite.
+    returned, with all four of its arrays updated in place; if the call
+    raises, its x and arg hold no iterate. Without ``warm``, x = m on
+    omega and 0 elsewhere, y is seeded uniform [0,1), z = 0, and arg is
+    formed from w = x and e = 0. Stops when the iterate change is at most
+    cfg.eps_outer or max_inner is hit. Raises DivergenceError if an
+    iterate goes non-finite.
 
     With cfg.lam = 0 and z all zero on entry (a cold start, or any state
-    such a call returns), the E/Z steps are skipped: after the first sweep
-    idct3(e + z/mu) is taken to be the previous x, which it equals up to
-    round-off, and e = dct3(x) is set at the end; z stays 0.
+    such a call returns), the E/Z steps are skipped: each sweep's x stands
+    in for idct3(e + z/mu) in the next argument, which it equals up to
+    round-off, and z stays 0.
     """
     m = astensor3(m, "m")
     omega = _check_mask(omega, m.shape)
     if warm is None:
         rng = np.random.default_rng(cfg.seed)
         x = np.where(omega, m, 0.0)
-        state = SolverState(
-            x=x, w=x.copy(),
-            e=np.zeros(m.shape), y=rng.random(m.shape), z=np.zeros(m.shape),
-            mu=cfg.mu_init,
-        )
+        state = SolverState(x=x, arg=None, y=rng.random(m.shape), z=np.zeros(m.shape),
+                            mu=cfg.mu_init)
+        state.arg = update_x(state, cfg, x.copy(), np.zeros(m.shape))
     else:
         state = warm
     state.inner_iter = 0
     skip_ez = cfg.lam == 0 and not state.z.any()
     # The updates write into the state's buffers, in the same operations,
-    # in the same order, as their allocating forms. w's buffer holds the
-    # SVT's argument, then the iterate change and dct3(x), until the
-    # W-update refills it; e takes the previous x's buffer.
-    owned = warm is None  # whether this call made the x it starts from
+    # in the same order, as their allocating forms. The SVT writes x into
+    # the previous x's buffer; arg's buffer then holds dct3(x) and the
+    # Z-update's difference, and then w and the next argument. Only e,
+    # between the E-update and the next argument, takes a new buffer.
 
     for t in range(1, cfg.max_inner + 1):
-        x_prev = state.x
-        state.x = x = update_x(state, cfg, x_prev if skip_ez and t > 1 else None)
+        x, w = state.x, state.arg
+        delta = svt(w, 1.0 / (2.0 * state.mu), out=x)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        w = state.w
-        delta = fro_norm(np.subtract(x, x_prev, out=w))
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(x))
-        # the previous x is dead unless the caller keeps it (a warm start's x)
-        state.e = x_prev if owned else None
-        owned = True
+        e, dct_residual = None, 0.0
         if not skip_ez:
             dx = dct3(x, out=w)
-            state.e = update_e(state, cfg, dx, out=state.e)
+            e = update_e(state, cfg, dx)
             # z += mu (e - dx), with the product formed in dx's buffer
-            np.subtract(state.e, dx, out=dx)
+            np.subtract(e, dx, out=dx)
+            dct_residual = fro_norm(dx)
             dx *= state.mu
             state.z += dx
         update_w(state, cfg, m, omega, factors, out=w)
         if not np.isfinite(w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        _add_scaled_difference(state.y, x, w, state.mu)
+        state.residuals = (_add_scaled_difference(state.y, x, w, state.mu), dct_residual)
         state.mu = update_mu(state, cfg)
+        state.arg = update_x(state, cfg, w, e)
+        del e  # not held through the next sweep's SVT
         state.inner_iter = t
+        if t == 1:
+            state.first_change = delta
         if delta <= cfg.eps_outer:
             break
-    if skip_ez:
-        state.e = dct3(state.x, out=state.e)
     return state
 
 
@@ -322,14 +325,9 @@ def _surrogate(x, factors, lam) -> float:
     return low_rank + lam * float(d.sum())
 
 
-def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
-    """Complete tensor ``m`` observed on ``omega``.
-
-    Outer alternation: take the cfg.r leading T-SVD factors of the current
-    estimate, run the warm-started inner ADMM, stop on the outer
-    iterate-change test.
-    The returned tensor equals ``m`` exactly (bitwise) on the observed set.
-    """
+def check_problem(m: Tensor3, omega, cfg: SolverConfig) -> tuple:
+    """``m`` and ``omega`` as ``srtd_complete`` takes them, or the
+    ParameterError or DimensionError it would raise on them."""
     m = astensor3(m, "m")
     omega = _check_mask(omega, m.shape)
     if not omega.any():
@@ -339,21 +337,31 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
             f"truncation rank {cfg.r} exceeds min(n1,n2) = {min(m.shape[0], m.shape[1])}")
     if not np.isfinite(m[omega]).all():
         raise ParameterError("observed entries contain non-finite values")
+    return m, omega
 
+
+def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
+    """Complete tensor ``m`` observed on ``omega``.
+
+    Outer alternation: take the cfg.r leading T-SVD factors of the current
+    estimate, run the warm-started inner ADMM, and stop once a step's first
+    sweep changes x by at most eps_outer: that step ran one sweep, and its
+    change is the whole step's. Raises what ``check_problem`` raises.
+    The returned tensor equals ``m`` exactly (bitwise) on the observed set.
+    """
+    m, omega = check_problem(m, omega, cfg)
     start = time.perf_counter()
-    x_cur = np.where(omega, m, 0.0)  # the zero-filled observation
+    x = np.where(omega, m, 0.0)  # step 1 starts from the zero-filled observation
     state = None
     trace = []
     inner_total = 0
     outer_done = 0
-    delta = np.inf
 
     for k in range(1, cfg.max_outer + 1):
-        factors = tsvd_leading(x_cur, cfg.r)
-        trace.append(_surrogate(x_cur, factors, cfg.lam))
-        if state is None:
-            x_cur = None  # not held through the solve; its cold start rebuilds it
-        else:
+        factors = tsvd_leading(x, cfg.r)
+        trace.append(_surrogate(x, factors, cfg.lam))
+        del x  # step 1's is not held through the solve: its cold start rebuilds it
+        if state is not None:
             state.outer_iter = k
         try:
             state = admm_solve(m, omega, factors, cfg, warm=state)
@@ -364,35 +372,17 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
         state.outer_iter = k
         inner_total += state.inner_iter
         outer_done = k
-
-        if x_cur is None:  # the change from the zero-filled observation
-            change = state.x.copy()
-            np.subtract(change, m, out=change, where=omega)
-        else:  # x_cur's buffer is not read again
-            change = np.subtract(state.x, x_cur, out=x_cur)
-        delta = fro_norm(change)
-        del change  # not held through the next step's factors
-        if cfg.stop_mode == "relative":
-            delta /= max(1.0, fro_norm(state.x))
-        x_cur = state.x
-        if delta <= cfg.eps_outer:
+        x = state.x
+        if state.first_change <= cfg.eps_outer:
             break
 
-    trace.append(_surrogate(x_cur, factors, cfg.lam))
-    # the state is not returned, so its buffers take the last results:
-    # x - w goes in w's, dct3(x) - e (the negation, same norm) in dct3's
-    # result, and the recovered tensor in x's
-    x = state.x
-    dx = dct3(x)
-    residuals = (fro_norm(np.subtract(x, state.w, out=state.w)),
-                 fro_norm(np.subtract(dx, state.e, out=dx)), float(delta))
-    del dx
-    _pin(x, m, omega)
+    trace.append(_surrogate(x, factors, cfg.lam))
+    _pin(x, m, omega)  # the state is not returned: x's buffer takes the result
     return SolveReport(
         recovered=x,
         outer_iters=outer_done,
         inner_iters_total=inner_total,
-        final_residuals=residuals,
+        final_residuals=(*state.residuals, float(state.first_change)),
         objective_trace=tuple(trace),
         wall_time=time.perf_counter() - start,
         seed=cfg.seed,

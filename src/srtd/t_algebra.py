@@ -15,11 +15,13 @@ holds the spectrum as one contiguous (n1, n2) array per frequency, real for
 the zero-frequency slice and, when n3 is even, the Nyquist slice, and
 builds and inverts it block by block of rows, so that no full-size complex
 array is made. ``svt`` shrinks each slice in its own array, with at most
-two slice-sized matrices beside it. A t-product (``spectral_product``, on
-spectra held as one real and one complex stack, the layout ``_stacks``
-decides) forms each block of rows of every frequency's product in one
-batched product over the complex slices and one over the real ones, and
-inverts that block at once, so the product's spectrum is never held whole.
+two slice-sized matrices beside it, and can write its result over a given
+array, such as the previous iterate, returning how far it moved. A
+t-product (``spectral_product``, on spectra held as one real and one
+complex stack, the layout ``_stacks`` decides) forms each block of rows of
+every frequency's product in one batched product over the complex slices
+and one over the real ones, and inverts that block at once, so the
+product's spectrum is never held whole.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
 helper threads that each call starts and joins (``_each_slice``); the
@@ -38,6 +40,7 @@ two slices' factors. It returns the kept factors as such stacks, which
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -141,34 +144,51 @@ def _spectrum(a: Tensor3, out: list | None = None) -> list:
     return out
 
 
-def _irfft_rows(out: Tensor3, fill) -> Tensor3:
+def _irfft_rows(out: Tensor3, fill, change: bool = False) -> float | None:
     """irfft along mode 3 into ``out``, block by block of rows, so that no
     full-size complex array is made: ``fill(block, s)`` writes the
     ``n3 // 2 + 1`` frequencies of rows ``s`` along the last axis of the
     complex ``block``. Each tube's irfft is the same as in the whole-array
     call. A block holds two rows or more where out has them: numpy hands
     ``spectral_product``'s product of one row to gemv, which sums in
-    another order than gemm, so its bits would depend on the cut."""
+    another order than gemm, so its bits would depend on the cut.
+
+    With ``change``, each block's old rows are subtracted from its inverse
+    before the inverse replaces them, and the call returns
+    ||new out - old out||_F, from the blocks' sums of squares."""
     n1, n2, n3 = out.shape
     nf = n3 // 2 + 1
+    squares = 0.0
     # a block's tube holds 2 * nf floats, and its irfft n3 more
     for s in slabs((n1, n2, 2 * nf + n3), least=2):
         block = np.empty((*out[s].shape[:2], nf), np.complex128)
         fill(block, s)
-        out[s] = np.fft.irfft(block, n=n3, axis=2)
+        rows = np.fft.irfft(block, n=n3, axis=2)
         del block
-    return out
+        if change:
+            old = out[s]
+            old -= rows  # old - new: the change's negation, in out's own rows
+            squares += float(np.vdot(old, old))
+        out[s] = rows
+        del rows
+    return math.sqrt(squares) if change else None
 
 
-def _from_spectrum(spectrum: list, n3: int) -> Tensor3:
+def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
     """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
-    ``_spectrum``), into a new array, by ``_irfft_rows``."""
+    ``_spectrum``), by ``_irfft_rows``: into a new array, which is
+    returned, or into ``out``, and then ||new out - old out||_F is
+    returned."""
 
     def fill(block, s):
         for f, fs in enumerate(spectrum):
             block[:, :, f] = fs[s]
 
-    return _irfft_rows(np.empty((*spectrum[0].shape, n3)), fill)
+    if out is not None:
+        return _irfft_rows(out, fill, change=True)
+    out = np.empty((*spectrum[0].shape, n3))
+    _irfft_rows(out, fill)
+    return out
 
 
 def _stacks(n1: int, n2: int, n3: int) -> tuple[tuple, list]:
@@ -210,7 +230,8 @@ def spectral_product(fa: tuple, fb: tuple, n3: int, out: Tensor3 | None = None) 
         if len(real) == 2:
             block[:, :, -1] = real[1]
 
-    return _irfft_rows(out, fill)
+    _irfft_rows(out, fill)
+    return out
 
 
 def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
@@ -343,7 +364,7 @@ def _shrink(m: np.ndarray, tau: float) -> None:
     np.matmul(u[:, :k], vh[:k], out=m)
 
 
-def svt(x: Tensor3, tau: float) -> Tensor3:
+def svt(x: Tensor3, tau: float, out: Tensor3 | None = None):
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
 
@@ -359,13 +380,19 @@ def svt(x: Tensor3, tau: float) -> Tensor3:
     whenever ``eigh`` fails, the slice's SVD is used. The slices are shrunk
     by ``_each_slice``; the result does not depend on its thread count.
 
-    The result is a new array, allocated only once every slice is shrunk,
-    so that it is not held alongside the slices' temporaries. x is never
-    written.
+    The result is returned in a new array, allocated only once every slice
+    is shrunk, so that it is not held alongside the slices' temporaries.
+    With ``out``, an array of x's shape, the result overwrites ``out`` one
+    block of rows at a time instead, and the call returns
+    ||result - old out||_F, summed block by block, in place of the result:
+    the iterate change, when out holds the previous iterate. The values
+    are the same either way. x is never written, unless it is ``out``.
     """
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
+    if out is not None and out.shape != x.shape:
+        raise DimensionError(f"out must have shape {x.shape}, got {out.shape}")
     fx = _spectrum(x)
     _each_slice(lambda i: _shrink(fx[i], tau), len(fx))
-    return _from_spectrum(fx, x.shape[2])
+    return _from_spectrum(fx, x.shape[2], out)

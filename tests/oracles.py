@@ -10,13 +10,15 @@ test can compare the fast path with them.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 import srtd.solver as solver
 from srtd.errors import DimensionError, DivergenceError, ParameterError
-from srtd.solver import SolverConfig, SolverState
+from srtd.solver import SolverConfig
 from srtd.t_algebra import _slice_svd, spectral_product, stacked_spectrum, svt, tsvd_leading
 from srtd.tensor_core import Tensor3, astensor3, fro_norm, ttranspose
 from srtd.transforms import dct3, idct3
@@ -212,31 +214,57 @@ def factor_spectra(a_k: Tensor3, b_k: Tensor3) -> tuple:
 # state's fields are rebound, never written. srtd.solver runs the same
 # floating-point operations in the same order in place, so its iterates
 # must equal these bitwise, except where it skips the E/Z steps at
-# lambda = 0, which moves them by transform round-off.
+# lambda = 0, which moves them by transform round-off. The solver keeps
+# x, y, z and the next X-update's argument between sweeps, where this
+# textbook loop keeps w and e: ``reference_argument`` forms that argument
+# from them.
 
-def _update_x(state: SolverState, cfg: SolverConfig) -> Tensor3:
+@dataclass
+class ReferenceState:
+    """Every iterate of the textbook sweep, W and E included; ``e`` and
+    ``z`` live in the DCT domain. ``first_change`` is the last call's
+    first-sweep change of x, as its stop test measures it."""
+
+    x: Tensor3
+    w: Tensor3
+    e: Tensor3
+    y: Tensor3
+    z: Tensor3
+    mu: float
+    inner_iter: int = 0
+    outer_iter: int = 0
+    first_change: float = math.inf
+
+
+def reference_argument(state: ReferenceState) -> Tensor3:
+    """The X-update's argument (w - y/mu + idct3(e + z/mu)) / 2, in a new
+    array; ``srtd.solver.update_x`` forms it with the same operations."""
     back = idct3(state.e + state.z / state.mu)
-    avg = 0.5 * (state.w - state.y / state.mu + back)
-    return svt(avg, 1.0 / (2.0 * state.mu))
+    return 0.5 * (state.w - state.y / state.mu + back)
 
 
-def _update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
+def _update_x(state: ReferenceState, cfg: SolverConfig) -> Tensor3:
+    return svt(reference_argument(state), 1.0 / (2.0 * state.mu))
+
+
+def _update_e(state: ReferenceState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
     return solver.soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
 
 
-def _update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, grad: Tensor3) -> Tensor3:
+def _update_w(state: ReferenceState, cfg: SolverConfig, m: Tensor3, omega,
+              grad: Tensor3) -> Tensor3:
     w_free = state.x + (grad + state.y) / state.mu
     return np.where(omega, m, w_free)
 
 
 def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
-                         warm: SolverState | None = None) -> SolverState:
-    """``srtd.solver.admm_solve`` with allocating updates; ``m`` must be
-    zero-filled off ``omega``."""
+                         warm: ReferenceState | None = None) -> ReferenceState:
+    """``srtd.solver.admm_solve`` with allocating updates, on a
+    ``ReferenceState``; ``m`` must be zero-filled off ``omega``."""
     m = astensor3(m, "m")
     if warm is None:
         rng = np.random.default_rng(cfg.seed)
-        state = SolverState(
+        state = ReferenceState(
             x=m.copy(), w=m.copy(),
             e=np.zeros(m.shape), y=rng.random(m.shape), z=np.zeros(m.shape),
             mu=cfg.mu_init,
@@ -266,6 +294,8 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
         delta = fro_norm(state.x - x_prev)
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(state.x))
+        if t == 1:
+            state.first_change = delta
         if delta <= cfg.eps_outer:
             break
     return state
@@ -273,9 +303,9 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
 
 def reference_complete(m: Tensor3, omega, cfg: SolverConfig):
     """``srtd.solver.srtd_complete``'s outer loop over
-    :func:`reference_admm_solve`, holding the zero-filled observation
-    throughout: (recovered, objective trace, final residuals, outer steps,
-    total sweeps)."""
+    :func:`reference_admm_solve`: it stops once a step's first sweep
+    changes x by at most eps_outer. Returns (recovered, objective trace,
+    final residuals, outer steps, total sweeps)."""
     m = astensor3(m, "m")
     m_obs = np.where(omega, m, 0.0)
     x_cur, state, trace, inner_total, outer_done = m_obs, None, [], 0, 0
@@ -288,12 +318,10 @@ def reference_complete(m: Tensor3, omega, cfg: SolverConfig):
         state.outer_iter = k
         inner_total += state.inner_iter
         outer_done = k
-        delta = fro_norm(state.x - x_cur)
-        if cfg.stop_mode == "relative":
-            delta /= max(1.0, fro_norm(state.x))
         x_cur = state.x
-        if delta <= cfg.eps_outer:
+        if state.first_change <= cfg.eps_outer:
             break
     trace.append(solver._surrogate(x_cur, factors, cfg.lam))
-    residuals = (fro_norm(state.x - state.w), fro_norm(state.e - dct3(state.x)), float(delta))
+    residuals = (fro_norm(state.x - state.w), fro_norm(state.e - dct3(state.x)),
+                 float(state.first_change))
     return np.where(omega, m, state.x), tuple(trace), residuals, outer_done, inner_total

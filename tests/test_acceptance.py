@@ -264,9 +264,9 @@ def test_09_zero_lambda_degenerates_to_pure_truncated_path():
     cfg = SolverConfig(r=4, lam=0.0, max_inner=5, eps_outer=1e-30, seed=9)
     factors = factor_spectra(*truncate_factors(tsvd(m_obs), 4))
     # the solver skips the E/Z steps at lambda = 0; the oracle runs them.
-    # Each call's first sweep forms idct3(e + z/mu) from e and z, and only
-    # the later ones take the previous x in its place, so the calls run
-    # several sweeps each
+    # The cold start's argument forms idct3(e + z/mu) from e = z = 0, and
+    # every later one, across calls too, takes x in its place; the calls
+    # run several sweeps each
     full = short = None
     worst = 0.0
     for _ in range(4):
@@ -330,20 +330,24 @@ def test_12_penalty_schedule_and_feasibility():
     g, omega, cfg, report = bench["g"], bench["omega"], bench["cfg"], bench["report"]
     m_obs = np.where(omega, g, 0.0)
 
-    # re-run the exact solve one ADMM sweep at a time to observe mu
+    # re-run the exact solve one ADMM sweep at a time to observe mu; a call
+    # writes the new x over the state's x, so the previous one is copied.
+    # An outer step stops once its first sweep changes x by at most eps
     step_cfg = replace(cfg, max_inner=1)
     x_cur, state, mus = m_obs, None, []
     for _ in range(cfg.max_outer):
         factors = factor_spectra(*truncate_factors(tsvd(x_cur), cfg.r))
-        for _ in range(cfg.max_inner):
-            x_prev = state.x if state is not None else m_obs
+        for t in range(cfg.max_inner):
+            x_prev = state.x.copy() if state is not None else m_obs
             state = admm_solve(m_obs, omega, factors, step_cfg, warm=state)
             mus.append(state.mu)
-            if fro_norm(state.x - x_prev) <= cfg.eps_outer:
+            change = fro_norm(state.x - x_prev)
+            if t == 0:
+                first = change
+            if change <= cfg.eps_outer:
                 break
-        delta = fro_norm(state.x - x_cur)
         x_cur = state.x
-        if delta <= cfg.eps_outer:
+        if first <= cfg.eps_outer:
             break
 
     replays = fro_norm(np.where(omega, 0.0, x_cur - report.recovered))

@@ -92,6 +92,24 @@ def test_bad_argument_exit_codes(tmp_path):
                      "--sr", "0.5", "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["complete", "--sr", "1.5", "--rank", "2"],
+    ["complete", "--rank", "2"],  # no mask source
+    ["complete", "--sr", "0.5", "--rank", "9"],  # more than min(6, 6)
+    ["sweep", "--sr", "0.5", "--rank", "2", "--axis", "rank", "--values", "2", "9"],
+    ["sweep", "--rank", "2", "--axis", "sr", "--values", "0.5", "1.5"],
+    ["sweep", "--rank", "2", "--axis", "lambda", "--values", "0.1"],  # no mask source
+], ids=["sr", "no-mask", "rank", "sweep-rank", "sweep-sr", "sweep-no-mask"])
+def test_a_rejected_run_leaves_no_output_directory(tmp_path, args):
+    # the inputs, masks and ranks are checked before the output directory
+    # is made, so a run that exits 2 leaves nothing behind
+    img_path = tmp_path / "toy.pgm"
+    _write_image(img_path, shape=(6, 6, 1))
+    out = tmp_path / "o"
+    assert cli.main([*args, "--input", str(img_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_argparse_rejects_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

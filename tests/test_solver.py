@@ -31,6 +31,7 @@ from oracles import (
     factor_spectra,
     identity_tensor,
     reference_admm_solve,
+    reference_argument,
     truncate_factors,
     tsvd,
 )
@@ -40,9 +41,8 @@ _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=
 
 def _make_state(rng, shape, mu=0.37):
     return SolverState(
-        x=rng.standard_normal(shape), w=rng.standard_normal(shape),
-        e=rng.standard_normal(shape), y=rng.standard_normal(shape),
-        z=rng.standard_normal(shape), mu=mu,
+        x=rng.standard_normal(shape), arg=rng.standard_normal(shape),
+        y=rng.standard_normal(shape), z=rng.standard_normal(shape), mu=mu,
     )
 
 
@@ -182,27 +182,37 @@ def test_update_x_fixed_point():
     rng = np.random.default_rng(3)
     x_star = rng.standard_normal((5, 4, 3))
     state = _make_state(rng, (5, 4, 3), mu=1e8)
-    state.w = x_star.copy()
-    state.e = dct3(x_star)
     state.y = np.zeros_like(x_star)
     state.z = np.zeros_like(x_star)
-    out = update_x(state, SolverConfig(r=2))
+    w = x_star.copy()
+    arg = update_x(state, SolverConfig(r=2), w, dct3(x_star))
+    assert arg is w  # formed in w's buffer
+    out = svt(arg, 1.0 / (2.0 * state.mu))
     assert fro_norm(out - x_star) <= 1e-6 * fro_norm(x_star)
 
 
 def test_update_x_negligible_threshold_returns_average():
     rng = np.random.default_rng(4)
     state = _make_state(rng, (4, 4, 2), mu=1e15)
-    avg = 0.5 * (state.w - state.y / state.mu + idct3(state.e + state.z / state.mu))
-    assert np.abs(update_x(state, SolverConfig(r=2)) - avg).max() <= 1e-6
+    w, e = rng.standard_normal((2, 4, 4, 2))
+    avg = 0.5 * (w - state.y / state.mu + idct3(e + state.z / state.mu))
+    x = svt(update_x(state, SolverConfig(r=2), w, e), 1.0 / (2.0 * state.mu))
+    assert np.abs(x - avg).max() <= 1e-6
 
 
 def test_update_x_matches_primitive_composition():
+    # the argument is formed in the operations of the allocating
+    # expression, so it equals it bitwise; with e None, x stands in for
+    # idct3(e + z/mu). x, y and z are not written
     rng = np.random.default_rng(5)
     state = _make_state(rng, (6, 6, 3), mu=0.37)
-    oracle = svt(0.5 * (state.w - state.y / state.mu
-                        + idct3(state.e + state.z / state.mu)), 1.0 / (2.0 * state.mu))
-    assert np.abs(update_x(state, SolverConfig(r=2)) - oracle).max() <= 1e-12
+    w, e = rng.standard_normal((2, 6, 6, 3))
+    before = [a.copy() for a in (state.x, state.y, state.z)]
+    want = 0.5 * (w - state.y / state.mu + idct3(e + state.z / state.mu))
+    assert np.array_equal(update_x(state, SolverConfig(r=2), w.copy(), e.copy()), want)
+    want = 0.5 * (w - state.y / state.mu + state.x)
+    assert np.array_equal(update_x(state, SolverConfig(r=2), w.copy()), want)
+    assert all(np.array_equal(a, b) for a, b in zip((state.x, state.y, state.z), before))
 
 
 def test_update_e_zero_lambda_is_exact():
@@ -262,7 +272,9 @@ def test_update_w_pins_observed_entries_bitwise():
 
 def test_admm_sweep_dual_steps():
     # one sweep ascends both duals by mu times the constraint gaps of the
-    # new iterates: y by x - w, z by e - dct3(x)
+    # new iterates, y by x - w and z by e - dct3(x), and reports the gaps'
+    # norms as its residuals: w is pinned to m on the mask, and e is the
+    # soft-thresholded dct3(x) - z/mu
     g, omega = _low_rank_instance(11, 6, 2, 3, 0.5)
     m_obs = apply_mask(g, omega)
     factors = _leading_factors(m_obs, 2)
@@ -270,8 +282,14 @@ def test_admm_sweep_dual_steps():
     state = admm_solve(m_obs, omega, factors, cfg)
     y0, z0, mu0 = state.y.copy(), state.z.copy(), state.mu
     state = admm_solve(m_obs, omega, factors, cfg, warm=state)
-    assert np.allclose(state.y, y0 + mu0 * (state.x - state.w), rtol=0, atol=1e-12)
-    assert np.allclose(state.z, z0 + mu0 * (state.e - dct3(state.x)), rtol=0, atol=1e-12)
+    w = state.x - (state.y - y0) / mu0
+    assert np.allclose(w[omega], m_obs[omega], rtol=0, atol=1e-9)
+    dx = dct3(state.x)
+    e = soft_threshold(dx - z0 / mu0, cfg.lam / mu0)
+    assert np.allclose(state.z, z0 + mu0 * (e - dx), rtol=0, atol=1e-12)
+    primal, dct = state.residuals
+    assert abs(primal - fro_norm(state.x - w)) <= 1e-9 * primal
+    assert abs(dct - fro_norm(e - dx)) <= 1e-9 * dct
 
 
 def test_update_mu_growth_and_cap():
@@ -289,8 +307,10 @@ def test_admm_full_observation():
     omega = np.ones(m.shape, dtype=bool)
     cfg = SolverConfig(r=2, eps_outer=1e-6, stop_mode="absolute", max_inner=500)
     state = admm_solve(m, omega, _leading_factors(m, 2), cfg)
-    assert np.array_equal(state.w, m)
-    assert fro_norm(state.x - state.w) <= 1e-3 * fro_norm(m)
+    # every entry is observed, so w = m, and the sweep's ‖x − w‖ is ‖x − m‖
+    primal = state.residuals[0]
+    assert abs(primal - fro_norm(state.x - m)) <= 1e-12 * fro_norm(m)
+    assert primal <= 1e-3 * fro_norm(m)
 
 
 def test_admm_determinism():
@@ -300,9 +320,9 @@ def test_admm_determinism():
     cfg = SolverConfig(r=2, seed=5, max_inner=40)
     s1 = admm_solve(m_obs, omega, factors, cfg)
     s2 = admm_solve(m_obs, omega, factors, cfg)
-    assert np.array_equal(s1.x, s2.x)
-    assert np.array_equal(s1.w, s2.w)
-    assert np.array_equal(s1.y, s2.y)
+    for name in ("x", "arg", "y", "z"):
+        assert np.array_equal(getattr(s1, name), getattr(s2, name))
+    assert s1.residuals == s2.residuals and s1.first_change == s2.first_change
     assert s1.mu == s2.mu and s1.inner_iter == s2.inner_iter
 
 
@@ -405,6 +425,7 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(solver, "dct3")
+    counted(solver, "idct3")
     counted(solver, "tsvd_leading")
     counted(solver, "spectral_product")
     counted(t_algebra, "tproduct")
@@ -418,11 +439,13 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         report = srtd_complete(g, omega, SolverConfig(r=2, lam=lam, seed=22, max_outer=3))
         outer, sweeps = report.outer_iters, report.inner_iters_total
         assert sweeps > outer
-        # per sweep with lam > 0, or per call at lam = 0 where the E/Z steps
-        # are skipped; with lam > 0, one surrogate per outer step and at the
-        # end (its l1 term is zero at lam = 0, and not taken); the final DCT
-        # residual
-        assert calls["dct3"] == (sweeps + outer + 2 if lam else outer + 1)
+        # per sweep with lam > 0, and none where lam = 0 skips the E/Z
+        # steps; with lam > 0, one surrogate per outer step and at the end
+        # (its l1 term is zero at lam = 0, and not taken). The residuals
+        # come from the sweep, so no DCT is taken for them
+        assert calls["dct3"] == (sweeps + outer + 1 if lam else 0)
+        # the cold start's argument, and with lam > 0 one per sweep
+        assert calls["idct3"] == (sweeps + 1 if lam else 1)
         # the factors per outer step, and the rank-r term rebuilt from them
         # per sweep; the surrogate takes its trace from the zero-frequency
         # slices, so no t-product is taken
@@ -473,9 +496,12 @@ def test_zero_lambda_matches_the_full_ez_loop(n1, n2, n3, seed):
     for _ in range(2):
         ref = reference_admm_solve(m_obs, omega, factors, cfg, warm=ref)
         new = admm_solve(m_obs, omega, factors, cfg, warm=new)
-        assert new.inner_iter == ref.inner_iter
+        assert new.inner_iter == ref.inner_iter and new.mu == ref.mu
         assert fro_norm(new.x - ref.x) <= 1e-12 * fro_norm(ref.x)
-        assert np.array_equal(new.e, dct3(new.x))
+        want = reference_argument(ref)
+        assert fro_norm(new.arg - want) <= 1e-12 * fro_norm(want)
+        assert fro_norm(new.y - ref.y) <= 1e-12 * ref.mu * fro_norm(ref.x)
+        assert new.residuals[1] == 0.0
         assert not new.z.any()
 
 
@@ -495,6 +521,7 @@ def test_zero_lambda_continues_a_sparse_state_exactly():
         new = admm_solve(m_obs, omega, factors, cfg, warm=new)
         assert new.inner_iter == ref.inner_iter == 15
         assert np.array_equal(new.x, ref.x)
+        assert np.array_equal(new.arg, reference_argument(ref))
 
 
 def test_complete_zero_lambda_dct_residual_is_zero():

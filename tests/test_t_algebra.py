@@ -317,6 +317,37 @@ def test_svt_in_row_blocks_is_bitwise_one_block_and_writes_no_input(n3, dims, se
     assert counts["eigh"] >= 1 and counts["svd"] >= 1
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 32])
+def test_svt_into_out_returns_the_change_and_writes_no_input(monkeypatch, slice_threads,
+                                                             threads, n3):
+    # with out, the result overwrites out a block of rows at a time, here
+    # four blocks of 2, 2, 2 and 3 rows, and the call returns
+    # ||result - old out||_F from the blocks' sums of squares. The result
+    # is the allocating call's bit for bit, x is not written, and out may
+    # be x itself
+    slice_threads(threads)
+    n1, n2 = 9, 7
+    x = _mixed_route_input((n1, n2, n3), n3)
+    x_before = x.copy()
+    tube = 2 * (n3 // 2 + 1) + n3  # a block's floats per tube
+    monkeypatch.setattr(transforms, "SLAB_ENTRIES", 2 * n2 * tube)
+    assert len(transforms.slabs((n1, n2, tube), least=2)) == 4
+    old = np.random.default_rng(n3).standard_normal(x.shape)
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    for tau in (0.0, 1e-2, 0.3 * smax, 2.0 * smax):
+        whole = svt(x, tau)
+        for before in (old, x):
+            out = before.copy()
+            change = svt(out if before is x else x, tau, out=out)
+            assert np.array_equal(out, whole)
+            want = fro_norm(whole - before)
+            assert abs(change - want) <= 1e-12 * want
+        assert np.array_equal(x, x_before)
+    with pytest.raises(DimensionError):
+        svt(x, 0.5, out=np.empty((n1, n2, n3 + 1)))
+
+
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
 @_PROPERTY
 @given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
