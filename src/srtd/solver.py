@@ -30,10 +30,12 @@ X-update's SVT, and the duals Y and Z. A sweep runs
     SVT -> E -> Z -> W -> Y -> mu -> the next argument
 
 The SVT writes the new X over the previous one, a block of rows at a time,
-and returns the iterate change. The argument's buffer is then spent: it
-holds dct3(X) and the Z-update's difference, then W, and at the end of the
-sweep the next argument, formed from W, Y, Z, mu and E. Beside the SVT's
-spectrum, E is the only full-size array a sweep allocates, and it is
+and returns the iterate change. Its argument's buffer is spent once the
+SVT has read it: the SVT holds its shrinking frequency slices there, and
+then it holds dct3(X) and the Z-update's difference, then W, and at the
+end of the sweep the next argument, formed from W, Y, Z, mu and E. Beside
+the SVT's spectrum, which it holds only until the slices are moved into
+that buffer, E is the only full-size array a sweep allocates, and it is
 dropped once the argument is formed. The sweep takes its residuals ‖X−W‖
 and ‖E−dct3(X)‖ from the Y- and Z-updates' differences. The outer loop
 keeps no copy of X: it stops once an outer step's first sweep changes X
@@ -274,14 +276,16 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     state.inner_iter = 0
     skip_ez = cfg.lam == 0 and not state.z.any()
     # The updates write into the state's buffers, in the same operations,
-    # in the same order, as their allocating forms. The SVT writes x into
-    # the previous x's buffer; arg's buffer then holds dct3(x) and the
-    # Z-update's difference, and then w and the next argument. Only e,
-    # between the E-update and the next argument, takes a new buffer.
+    # in the same order, as their allocating forms. The SVT shrinks its
+    # slices in arg's buffer and writes x into the previous x's; arg's
+    # buffer then holds dct3(x) and the Z-update's difference, and then w
+    # and the next argument. Only e, between the E-update and the next
+    # argument, takes a new buffer.
 
     for t in range(1, cfg.max_inner + 1):
         x, w = state.x, state.arg
-        delta = svt(w, 1.0 / (2.0 * state.mu), out=x)
+        # w's buffer is refilled in full below, by dct3(x) or the W-update
+        delta = svt(w, 1.0 / (2.0 * state.mu), out=x, _consume=True)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)

@@ -16,12 +16,14 @@ the zero-frequency slice and, when n3 is even, the Nyquist slice, and
 builds and inverts it block by block of rows, so that no full-size complex
 array is made. ``svt`` shrinks each slice in its own array, with at most
 two slice-sized matrices beside it, and can write its result over a given
-array, such as the previous iterate, returning how far it moved. A
-t-product (``spectral_product``, on spectra held as one real and one
-complex stack, the layout ``_stacks`` decides) forms each block of rows of
-every frequency's product in one batched product over the complex slices
-and one over the real ones, and inverts that block at once, so the
-product's spectrum is never held whole.
+array, such as the previous iterate, returning how far it moved. For the
+solver, whose argument is dead once read, it moves the slices into that
+argument's buffer, so that no separate spectrum is held while they are
+shrunk. A t-product (``spectral_product``, on spectra held as one
+real and one complex stack, the layout ``_stacks`` decides) forms each
+block of rows of every frequency's product in one batched product over the
+complex slices and one over the real ones, and inverts that block at once,
+so the product's spectrum is never held whole.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
 helper threads that each call starts and joins (``_each_slice``); the
@@ -191,14 +193,26 @@ def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
     return out
 
 
-def _stacks(n1: int, n2: int, n3: int) -> tuple[tuple, list]:
+def _stacks(n1: int, n2: int, n3: int, buffer: np.ndarray | None = None) -> tuple[tuple, list]:
     """Empty stacks for the ``n3 // 2 + 1`` (n1, n2) frequency slices of a
     real tensor, the real ones (zero frequency, then Nyquist when n3 is
     even) in one real array and the others, in order of frequency, in one
-    complex array; and the stacks' slices in order of frequency."""
+    complex array; and the stacks' slices in order of frequency.
+
+    With ``buffer``, a C-contiguous float64 array of n1 * n2 * n3 entries,
+    the stacks are views of it, which they fill exactly: the complex stack
+    first, so that each of its slices starts on a 16-byte multiple, and
+    the real stack after it."""
     nr = 2 if n3 % 2 == 0 else 1
-    real = np.empty((nr, n1, n2))
-    cplx = np.empty((n3 // 2 + 1 - nr, n1, n2), np.complex128)
+    nc = n3 // 2 + 1 - nr
+    if buffer is None:
+        real = np.empty((nr, n1, n2))
+        cplx = np.empty((nc, n1, n2), np.complex128)
+    else:
+        flat = buffer.reshape(-1)
+        split = 2 * nc * n1 * n2
+        cplx = flat[:split].view(np.complex128).reshape(nc, n1, n2)
+        real = flat[split:].reshape(nr, n1, n2)
     return (real, cplx), [real[0], *cplx, *real[1:]]
 
 
@@ -364,7 +378,7 @@ def _shrink(m: np.ndarray, tau: float) -> None:
     np.matmul(u[:, :k], vh[:k], out=m)
 
 
-def svt(x: Tensor3, tau: float, out: Tensor3 | None = None):
+def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, *, _consume: bool = False):
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
 
@@ -388,11 +402,29 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None):
     the iterate change, when out holds the previous iterate. The values
     are the same either way. x is never written, unless it is ``out``.
     """
+    # _consume, for the solver, whose argument is dead once the rfft has
+    # read it: each slice is copied into a view of x's buffer (``_stacks``)
+    # and its own array released before any slice is shrunk, so that no
+    # separate spectrum is held beside the slices' temporaries. The values
+    # are the same; x is left holding the shrunk spectrum. x must then be a
+    # writeable C-contiguous float64 array that does not overlap ``out``
+    if _consume and not (isinstance(x, np.ndarray) and x.dtype == np.float64
+                         and x.flags.c_contiguous and x.flags.writeable
+                         and (out is None or not np.may_share_memory(x, out))):
+        raise ParameterError("a consumed x must be a writeable C-contiguous float64 "
+                             "array that does not overlap out")
     x = astensor3(x)
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
     if out is not None and out.shape != x.shape:
         raise DimensionError(f"out must have shape {x.shape}, got {out.shape}")
     fx = _spectrum(x)
+    if _consume:
+        # not an rfft straight into x: slice f's rows would land on rows of
+        # x that are not yet read
+        held, fx = fx, _stacks(*x.shape, buffer=x)[1]
+        for f, fs in enumerate(fx):
+            fs[...] = held[f]
+            held[f] = None  # released as soon as it is copied
     _each_slice(lambda i: _shrink(fx[i], tau), len(fx))
     return _from_spectrum(fx, x.shape[2], out)

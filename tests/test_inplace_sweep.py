@@ -296,6 +296,34 @@ def test_svt_into_out_allocates_no_result(slice_threads, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
+    # 128x128x3 into out: with _consume the slices are moved into x's
+    # buffer before any is shrunk, so the call holds the spectrum beside
+    # one rfft block, then only the temporaries of the slices being shrunk,
+    # then one row block of the inverse FFT's. Measured 1.67 tensor sizes
+    # on one slice thread and 2.17 on two; 2.65 and 2.66-3.17 with the
+    # slices in arrays of their own, the spectrum held beside the shrinking.
+    # On one thread that difference is the spectrum alone
+    slice_threads(threads)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((128, 128, 3))
+    slices = t_algebra._spectrum(x)
+    sv = np.concatenate([np.linalg.svd(f, compute_uv=False) for f in slices])
+    tau = np.quantile(sv, 0.05)
+    shrinking = sum(2 * f.nbytes + np.getbufsize() * f.itemsize
+                    for f in sorted(slices, key=lambda f: -f.nbytes)[:threads])
+    bound = max(x.nbytes + transforms.SLAB_ENTRIES * 8, shrinking)
+    out = np.empty_like(x)
+    svt(x.copy(), tau, out=out, _consume=True)  # the lazy imports and caches
+    spent = x.copy()
+    peak = _traced_peak(lambda: svt(spent, tau, out=out, _consume=True))[0]
+    assert peak <= bound + 0.05 * x.nbytes
+    if threads == 1:
+        held = _traced_peak(lambda: svt(x, tau, out=out))[0]
+        assert held - peak >= 0.8 * x.nbytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_tsvd_leading_factors_one_slice_at_a_time(slice_threads, threads):
     # 128x128x3, r = 8: one real and one complex rfft slice, a third and
     # two thirds of a tensor size. The slices are factored one after
@@ -432,13 +460,14 @@ def test_solve_peak_memory_with_few_large_slices(slice_threads, threads):
     # slices factored one after another, at 7.34 on one and 7.34-7.41 over
     # 60 runs on two (median 7.34), and 7.19 on one and 7.19-7.27 on two
     # with the factors kept as spectra. With four tensors between sweeps, at 6.71 on one
-    # and 6.82-7.53 over 40 runs on two (median 6.92; numpy 2.4). The
-    # bounds leave about half a tensor over one thread and over the
-    # two-thread runs' median
+    # and 6.82-7.53 over 40 runs on two (median 6.92; numpy 2.4). With the
+    # SVT's slices shrunk in its spent argument's buffer, at 6.19 on one and
+    # 6.20 in every one of 12 runs on two. The bound leaves about half a
+    # tensor on either thread count
     slice_threads(threads)
     rng = np.random.default_rng(0)
     g = tproduct(rng.random((128, 4, 3)), rng.random((4, 96, 3)))
     g *= 255.0 / g.max()
     omega = rng.random(g.shape) < 0.5
     peak, _ = _solve_peak(g, omega, SolverConfig(r=4, seed=0))
-    assert peak <= (7.2 if threads == 1 else 7.8)
+    assert peak <= 6.7

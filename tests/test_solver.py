@@ -23,7 +23,7 @@ from srtd.solver import (
     update_w,
     update_x,
 )
-from srtd.t_algebra import svt, tnn, tproduct, trace_pair, tsvd_leading
+from srtd.t_algebra import spectral_product, svt, tnn, tproduct, trace_pair, tsvd_leading
 from srtd.tensor_core import fro_norm, l1_norm, ttranspose
 from srtd.transforms import dct3, idct3
 
@@ -290,6 +290,31 @@ def test_admm_sweep_dual_steps():
     primal, dct = state.residuals
     assert abs(primal - fro_norm(state.x - w)) <= 1e-9 * primal
     assert abs(dct - fro_norm(e - dx)) <= 1e-9 * dct
+
+
+@_PROPERTY
+@given(n1=st.integers(2, 9), n2=st.integers(2, 9), n3=st.integers(1, 6), r=st.integers(1, 2),
+       sweeps=st.integers(1, 5), lam=st.sampled_from([0.01, 0.0]), seed=st.integers(0, 2**16))
+def test_y_off_the_mask_is_minus_the_rank_r_term(n1, n2, n3, r, sweeps, lam, seed):
+    # off the mask the W-update sets w = x + (T + y)/mu, T the rank-r term,
+    # and the Y-update then y + mu (x - w) = -T: after any sweep, y there is
+    # -T to round-off, whatever y was before it. A warm call with the next
+    # outer step's factors moves it to that step's -T
+    rng = np.random.default_rng(seed)
+    g = tproduct(rng.random((n1, 2, n3)), rng.random((2, n2, n3)))
+    g += 0.05 * rng.standard_normal(g.shape)
+    g *= 255.0 / np.abs(g).max()
+    omega = rng.random(g.shape) < 0.6
+    m_obs = apply_mask(g, omega)
+    cfg = SolverConfig(r=r, lam=lam, max_inner=sweeps, eps_outer=1e-30, seed=seed)
+    factors = tsvd_leading(m_obs, r)
+    state = None
+    for _ in range(2):
+        state = admm_solve(m_obs, omega, factors, cfg, warm=state)
+        term = spectral_product(*factors, n3)
+        gap = np.abs(state.y + term)[~omega].max(initial=0.0)
+        assert gap <= 1e-12 * (np.abs(term).max() + np.abs(state.y).max())
+        factors = tsvd_leading(state.x, r)
 
 
 def test_update_mu_growth_and_cap():

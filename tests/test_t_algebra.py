@@ -348,6 +348,53 @@ def test_svt_into_out_returns_the_change_and_writes_no_input(monkeypatch, slice_
         svt(x, 0.5, out=np.empty((n1, n2, n3 + 1)))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 32])
+def test_svt_consuming_x_is_bitwise_the_allocating_call(monkeypatch, slice_threads,
+                                                        threads, n3):
+    # with _consume, the slices are shrunk in views of x's own buffer,
+    # complex slices first: 9x7 slices start on 16-byte multiples although
+    # n1 * n2 is odd. The result, into out in four row blocks or into a new
+    # array, and the change are the default call's bit for bit
+    slice_threads(threads)
+    n1, n2 = 9, 7
+    x = _mixed_route_input((n1, n2, n3), n3)
+    tube = 2 * (n3 // 2 + 1) + n3  # a block's floats per tube
+    monkeypatch.setattr(transforms, "SLAB_ENTRIES", 2 * n2 * tube)
+    assert len(transforms.slabs((n1, n2, tube), least=2)) == 4
+    old = np.random.default_rng(n3).standard_normal(x.shape)
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    counts = Counter()
+    for tau in (0.0, 1e-2, 0.3 * smax, 2.0 * smax):
+        whole = svt(x, tau)
+        want_out = old.copy()
+        want = svt(x, tau, out=want_out)
+        spent = x.copy()
+        assert np.array_equal(svt(spent, tau, _consume=True), whole)
+        spent, out = x.copy(), old.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            _count_calls(mp, counts, "eigh", "svd")
+            change = svt(spent, tau, out=out, _consume=True)
+        assert np.array_equal(out, whole)
+        assert change == want
+    assert counts["eigh"] >= 1 and counts["svd"] >= 1
+
+
+def test_svt_consuming_x_refuses_a_buffer_it_cannot_fill():
+    # with _consume, x must be a writeable C-contiguous float64 array
+    # that does not overlap out
+    x = np.random.default_rng(3).standard_normal((6, 5, 4))
+    before = x.copy()
+    read_only = x.copy()
+    read_only.flags.writeable = False
+    for bad, out in [(x, x), (x, x.reshape(-1)[::-1].reshape(x.shape)),
+                     (np.asfortranarray(x), None), (x[:, :, ::-1], None),
+                     (x.astype(np.float32), None), (x.tolist(), None), (read_only, None)]:
+        with pytest.raises(ParameterError):
+            svt(bad, 0.5, out=out, _consume=True)
+    assert np.array_equal(x, before)
+
+
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
 @_PROPERTY
 @given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
