@@ -2,48 +2,35 @@
 ℓ1 sparsity, minimized by a two-loop ADMM.
 
 Outer loop: take the r leading T-SVD factors of the current estimate,
-freeze them, hand the resulting convex subproblem to the inner loop. Inner
-loop: ADMM sweeps in the fixed order X -> E -> Z -> W -> Y -> mu, where E
-lives in the 3-D DCT domain, W carries the observation constraint, Y and Z
-are the duals for X=W and E=dct3(X), and mu grows geometrically up to a
-cap. The inner loop is warm-started from the previous outer iterate; mu
-is not reset between outer steps.
-
-All updates are closed-form:
+freeze them, and hand the convex subproblem to the inner loop, warm-started
+from the previous outer iterate (mu is not reset). Inner loop: ADMM sweeps
+X -> E -> Z -> W -> Y -> mu, where E lives in the 3-D DCT domain, W carries
+the observation constraint, Y and Z are the duals for X=W and E=dct3(X),
+and mu grows geometrically up to a cap. All updates are closed-form:
 
     X = svt( (W - Y/mu + idct3(E + Z/mu)) / 2, 1/(2 mu) )
     E = soft_threshold( dct3(X) - Z/mu, lambda/mu )
     Z += mu (E - dct3(X))
-    W = X + (U_r * V_r^T + Y)/mu,  then W on the observed set := M
+    W = X + (T + Y)/mu,  then W on the observed set := M
     Y += mu (X - W);  mu = min(rho mu, mu_max)
 
-Z reads only E, X, Z and mu, so it follows E directly and shares its
-dct3(X). U_r * V_r^T, the t-product of the leading T-SVD factors, is fixed
-within an outer step and has tubal rank r: the step keeps the factors as
-``tsvd_leading`` returns them, each frequency slice's U_f[:, :r] and
-V_f^H[:r], and the W-update rebuilds their product into W's buffer, a
-block of rows at a time, so that no sweep holds it as a full tensor.
+T = U_r * V_r^T, the t-product of the leading factors, is fixed within an
+outer step. Only the first sweep of an ``admm_solve`` call builds it, a
+block of rows at a time inside the W-update: that sweep leaves Y = -T off
+the observed set, to round-off, so later sweeps take W = X there.
 
-Between sweeps the state is four tensors: X, the argument of the next
-X-update's SVT, and the duals Y and Z. A sweep runs
+Between sweeps the state is four tensors: X, the next SVT's argument, Y
+and Z. The SVT writes the new X over the previous one and returns the
+iterate change. It shrinks its frequency slices in its argument's spent
+buffer, which then holds dct3(X), E + Z/mu (``update_ez``, a slab at a
+time), its idct3, and the next argument (``update_wy``, a block of rows
+at a time). So no sweep holds E or W whole, and it sums its residuals
+‖X−W‖ and ‖E−dct3(X)‖ slab by slab. The outer loop keeps no copy of X: it
+stops once a step's first sweep changes X by at most eps_outer, that is,
+once a step ran one sweep.
 
-    SVT -> E -> Z -> W -> Y -> mu -> the next argument
-
-The SVT writes the new X over the previous one, a block of rows at a time,
-and returns the iterate change. Its argument's buffer is spent once the
-SVT has read it: the SVT holds its shrinking frequency slices there, and
-then it holds dct3(X) and the Z-update's difference, then W, and at the
-end of the sweep the next argument, formed from W, Y, Z, mu and E. Beside
-the SVT's spectrum, which it holds only until the slices are moved into
-that buffer, E is the only full-size array a sweep allocates, and it is
-dropped once the argument is formed. The sweep takes its residuals ‖X−W‖
-and ‖E−dct3(X)‖ from the Y- and Z-updates' differences. The outer loop
-keeps no copy of X: it stops once an outer step's first sweep changes X
-by at most eps_outer, which means that the step ran one sweep.
-
-With lambda = 0 (plain TNNR) and Z = 0 on entry, E = dct3(X) and Z = 0
-after every sweep, so the inner loop skips the E/Z steps and uses X for
-idct3(E + Z/mu) in the next argument.
+With lambda = 0 and Z = 0 on entry, E = dct3(X) and Z = 0 after every
+sweep, so the E/Z steps are skipped and X stands in for idct3(E + Z/mu).
 """
 
 from __future__ import annotations
@@ -56,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
-from .t_algebra import spectral_product, svt, tnn, tsvd_leading
+from .t_algebra import row_blocks, spectral_product, svt, tnn, tsvd_leading
 from .tensor_core import Tensor3, astensor3, fro_norm
 from .transforms import dct3, idct3, slabs
 
@@ -159,21 +146,6 @@ def soft_threshold(x, tau):
     return x - np.clip(x, -tau, tau)
 
 
-def _add_scaled_difference(y: Tensor3, x: Tensor3, w: Tensor3, mu: float) -> float:
-    """y += mu (x - w), a slab at a time, in the operations and order of
-    ``y + mu * (x - w)``; returns ‖x − w‖_F, from the slabs' sums of
-    squares. The last slab's temporary dies with the call instead of
-    living through the next sweep's SVT."""
-    squares = 0.0
-    for s in slabs(y.shape):
-        step = np.subtract(x[s], w[s])
-        squares += float(np.vdot(step, step))
-        step *= mu
-        np.add(y[s], step, out=y[s])
-        del step  # not held while the next slab's is made
-    return math.sqrt(squares)
-
-
 def _pin(w: Tensor3, m: Tensor3, omega) -> None:
     """w[omega] = m[omega], bit for bit, a slab at a time: each slab's
     w ^= (w ^ m) * omega on the values' 64-bit patterns, which is 2-3 times
@@ -187,49 +159,66 @@ def _pin(w: Tensor3, m: Tensor3, omega) -> None:
         del flip  # not held while the next slab's is made
 
 
-def update_x(state: SolverState, cfg: SolverConfig, w: Tensor3,
-             e: Tensor3 | None = None) -> Tensor3:
-    """The next X-update's argument, (w − y/mu + idct3(e + z/mu)) / 2,
-    formed in w's buffer and returned; idct3(e + z/mu) is formed in e's,
-    and both are overwritten. With ``e`` None, state.x stands in for
-    idct3(e + z/mu). x, y and z are not modified. The X-update itself,
-    x = svt(argument, 1/(2 mu)), opens the next sweep."""
-    for s in slabs(w.shape):
-        if e is not None:
-            np.add(e[s], state.z[s] / state.mu, out=e[s])
-        np.subtract(w[s], state.y[s] / state.mu, out=w[s])
-    w += state.x if e is None else idct3(e, out=e)
-    w *= 0.5
-    return w
-
-
-def update_e(state: SolverState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
-    """E-update, into a new array; ``dx`` is dct3(state.x). Nothing else is
-    modified."""
-    e = np.divide(state.z, state.mu)
-    np.subtract(dx, e, out=e)
-    # soft_threshold in place, a slab at a time so that clip's result stays small
+def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float) -> float:
+    """The E- and Z-updates, a slab at a time, on state.arg holding
+    dct3(x): each slab of e is formed beside it, z += mu (e − dct3(x)), and
+    the slab is left holding e + z/mu_next. Returns ‖e − dct3(x)‖_F."""
     tau = cfg.lam / state.mu
-    for s in slabs(e.shape):
-        es = e[s]
-        es -= np.clip(es, -tau, tau)
-    return e
+    squares = 0.0
+    for s in slabs(state.arg.shape):
+        dx, z = state.arg[s], state.z[s]
+        e = z / state.mu
+        np.subtract(dx, e, out=e)
+        e -= np.clip(e, -tau, tau)  # soft_threshold, in place
+        np.subtract(e, dx, out=dx)  # the Z-update's difference, in dx's rows
+        squares += float(np.vdot(dx, dx))
+        dx *= state.mu
+        z += dx
+        np.add(e, np.divide(z, mu_next, out=dx), out=dx)
+        del e  # not held while the next slab's is made
+    return math.sqrt(squares)
 
 
-def update_w(state: SolverState, cfg: SolverConfig, m: Tensor3, omega, factors: tuple,
-             out: Tensor3 | None = None) -> Tensor3:
-    """W-update; ``factors`` is the pair ``tsvd_leading`` returns. Their
-    t-product, the rank-r term, is rebuilt into the result, a block of rows
-    at a time, before y is added. ``m`` is read only on ``omega``. Written
-    into ``out`` when given, which may be state.arg; nothing else is
-    modified."""
-    w = spectral_product(*factors, state.x.shape[2], out=out)
-    w += state.y
-    w /= state.mu
-    np.add(state.x, w, out=w)
-    # observed entries are pinned to the data, free entries keep the update
-    _pin(w, m, omega)
-    return w
+def update_wy(state: SolverState, m: Tensor3, omega, factors: tuple | None,
+              back: Tensor3, mu_next: float) -> float:
+    """The W- and Y-updates and the next X-update's argument, block by
+    block of ``row_blocks``: w = x + (T + y)/mu, T's rows arriving from
+    ``spectral_product(*factors)``, or w = x with ``factors`` None; w on
+    omega := m (read only there); y += mu (x − w); and state.arg = (w −
+    y/mu_next + back) / 2, ``back`` (which may be state.arg) holding
+    idct3(e + z/mu_next) or x in its place. Returns ‖x − w‖_F. Only a w
+    built from T is checked for finiteness: a pinned x is finite once x is."""
+    x, y, mu = state.x, state.y, state.mu
+    squares = 0.0
+
+    def block(w, s):
+        nonlocal squares
+        if w is None:
+            w = x[s].copy()
+        else:
+            w += y[s]
+            w /= mu
+            np.add(x[s], w, out=w)
+        _pin(w, m[s], omega[s])
+        if factors is not None and not np.isfinite(w).all():
+            t = state.inner_iter + 1
+            raise DivergenceError(f"non-finite w iterate at inner step {t}",
+                                  outer_iter=state.outer_iter, inner_iter=t)
+        step = np.subtract(x[s], w)
+        squares += float(np.vdot(step, step))
+        step *= mu
+        np.add(y[s], step, out=y[s])
+        del step  # not held beside the argument's temporary
+        np.subtract(w, y[s] / mu_next, out=w)
+        np.add(w, back[s], out=state.arg[s])
+        state.arg[s] *= 0.5
+
+    if factors is None:
+        for s in row_blocks(x.shape):
+            block(None, s)
+    else:
+        spectral_product(*factors, x.shape[2], take=block)
+    return math.sqrt(squares)
 
 
 def update_mu(state: SolverState, cfg: SolverConfig) -> float:
@@ -252,62 +241,50 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     ``m`` is read only on ``omega``; its other entries may hold anything.
     ``warm`` continues a previous state (duals and mu included) and is
     returned, with all four of its arrays updated in place; if the call
-    raises, its x and arg hold no iterate. Without ``warm``, x = m on
+    raises, its arrays hold no iterate. Without ``warm``, x = m on
     omega and 0 elsewhere, y is seeded uniform [0,1), z = 0, and arg is
     formed from w = x and e = 0. Stops when the iterate change is at most
     cfg.eps_outer or max_inner is hit. Raises DivergenceError if an
-    iterate goes non-finite.
-
-    With cfg.lam = 0 and z all zero on entry (a cold start, or any state
-    such a call returns), the E/Z steps are skipped: each sweep's x stands
-    in for idct3(e + z/mu) in the next argument, which it equals up to
-    round-off, and z stays 0.
+    iterate goes non-finite. With cfg.lam = 0 and z all zero on entry (a
+    cold start, or any state such a call returns), the E/Z steps are
+    skipped, as the module docstring says.
     """
     m = astensor3(m, "m")
     omega = _check_mask(omega, m.shape)
     if warm is None:
         rng = np.random.default_rng(cfg.seed)
         x = np.where(omega, m, 0.0)
-        state = SolverState(x=x, arg=None, y=rng.random(m.shape), z=np.zeros(m.shape),
-                            mu=cfg.mu_init)
-        state.arg = update_x(state, cfg, x.copy(), np.zeros(m.shape))
+        state = SolverState(x=x, arg=np.zeros(m.shape), y=rng.random(m.shape),
+                            z=np.zeros(m.shape), mu=cfg.mu_init)
+        # the first argument, from w = x and e = 0, so that idct3(e + z/mu)
+        # is that of zeros; x is m on omega, so y += mu (x - x) leaves y
+        idct3(state.arg, out=state.arg)
+        update_wy(state, m, omega, None, state.arg, state.mu)
     else:
         state = warm
     state.inner_iter = 0
     skip_ez = cfg.lam == 0 and not state.z.any()
-    # The updates write into the state's buffers, in the same operations,
-    # in the same order, as their allocating forms. The SVT shrinks its
-    # slices in arg's buffer and writes x into the previous x's; arg's
-    # buffer then holds dct3(x) and the Z-update's difference, and then w
-    # and the next argument. Only e, between the E-update and the next
-    # argument, takes a new buffer.
+    # the updates write into the state's buffers, in the same operations,
+    # in the same order, as their allocating forms
 
     for t in range(1, cfg.max_inner + 1):
-        x, w = state.x, state.arg
-        # w's buffer is refilled in full below, by dct3(x) or the W-update
-        delta = svt(w, 1.0 / (2.0 * state.mu), out=x, _consume=True)
+        x = state.x
+        delta = svt(state.arg, 1.0 / (2.0 * state.mu), out=x, _consume=True)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(x))
-        e, dct_residual = None, 0.0
+        mu_next = update_mu(state, cfg)
+        dct_residual = 0.0
         if not skip_ez:
-            dx = dct3(x, out=w)
-            e = update_e(state, cfg, dx)
-            # z += mu (e - dx), with the product formed in dx's buffer
-            np.subtract(e, dx, out=dx)
-            dct_residual = fro_norm(dx)
-            dx *= state.mu
-            state.z += dx
-        update_w(state, cfg, m, omega, factors, out=w)
-        if not np.isfinite(w).all():
-            raise DivergenceError(f"non-finite w iterate at inner step {t}",
-                                  outer_iter=state.outer_iter, inner_iter=t)
-        state.residuals = (_add_scaled_difference(state.y, x, w, state.mu), dct_residual)
-        state.mu = update_mu(state, cfg)
-        state.arg = update_x(state, cfg, w, e)
-        del e  # not held through the next sweep's SVT
+            dct3(x, out=state.arg)
+            dct_residual = update_ez(state, cfg, mu_next)
+            idct3(state.arg, out=state.arg)
+        primal = update_wy(state, m, omega, factors if t == 1 else None,
+                           x if skip_ez else state.arg, mu_next)
+        state.residuals = (primal, dct_residual)
+        state.mu = mu_next
         state.inner_iter = t
         if t == 1:
             state.first_change = delta
@@ -356,10 +333,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
     m, omega = check_problem(m, omega, cfg)
     start = time.perf_counter()
     x = np.where(omega, m, 0.0)  # step 1 starts from the zero-filled observation
-    state = None
-    trace = []
-    inner_total = 0
-    outer_done = 0
+    state, trace, inner_total, outer_done = None, [], 0, 0
 
     for k in range(1, cfg.max_outer + 1):
         factors = tsvd_leading(x, cfg.r)

@@ -9,39 +9,34 @@ shrinks a slice through the eigendecomposition of its smaller Gram matrix
 when that is exact to rounding (``GRAM_COND``), and through the slice's
 SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
 first ``n3 // 2 + 1`` slices are ever touched: ``_spectrum`` and
-``_irfft_rows`` (rfft/irfft) are the library's only mode-3 DFT pair, and
-results are identical to the full-spectrum route up to rounding. The pair
-holds the spectrum as one contiguous (n1, n2) array per frequency, real for
-the zero-frequency slice and, when n3 is even, the Nyquist slice, and
-builds and inverts it block by block of rows, so that no full-size complex
-array is made. ``svt`` shrinks each slice in its own array, with at most
-two slice-sized matrices beside it, and can write its result over a given
+``_irfft_rows`` (rfft/irfft) are the library's only mode-3 DFT pair. They
+hold the spectrum as one contiguous (n1, n2) array per frequency, real for
+the zero-frequency and Nyquist slices, and build and invert it block by
+block of rows, so that no full-size complex array is made; tubes up to
+``DFT_MATRIX_MAX_N`` long as products with a real DFT matrix, which beats
+numpy's FFT on them, longer ones by the FFT. ``svt`` shrinks each slice in its own array, with at most two
+slice-sized matrices beside it, and can write its result over a given
 array, such as the previous iterate, returning how far it moved. For the
 solver, whose argument is dead once read, it moves the slices into that
 argument's buffer, so that no separate spectrum is held while they are
-shrunk. A t-product (``spectral_product``, on spectra held as one
-real and one complex stack, the layout ``_stacks`` decides) forms each
-block of rows of every frequency's product in one batched product over the
-complex slices and one over the real ones, and inverts that block at once,
-so the product's spectrum is never held whole.
+shrunk. A t-product (``spectral_product``, on spectra held as one real
+and one complex stack, the layout ``_stacks`` decides) forms each block of
+rows of every frequency's product at once and inverts it, so the
+product's spectrum is never held whole; the blocks can be handed to the
+caller instead of written into a tensor.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
-helper threads that each call starts and joins (``_each_slice``); the
-module keeps no thread or other state between calls. The slices get the
-CPUs that BLAS leaves free (``_slice_threads``): with no BLAS thread count
-set in the environment, they run one after another on the calling thread
-and no helper is started. A slice's arithmetic is the same on any thread,
-so results do not depend on the number of slice threads.
-
-``tsvd_leading`` factors its slices one after another on the calling
-thread, dropping each once factored, so that it holds the spectrum and one
-slice's two SVD factors at most: two slices factored at once would hold
-two slices' factors. It returns the kept factors as such stacks, which
-``spectral_product`` multiplies without leaving the Fourier domain.
+helper threads that each call starts and joins (``_each_slice``), with
+the CPUs that BLAS leaves free (``_slice_threads``); with no BLAS thread
+count set, on the calling thread alone. Results do not depend on the
+number of slice threads. ``tsvd_leading`` factors its slices one after
+another, dropping each once factored, and returns the kept factors as
+stacks that ``spectral_product`` multiplies in the Fourier domain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -56,6 +51,13 @@ from .transforms import slabs
 # Squaring A squares its condition: the shrunk singular values carry an
 # error of about eps * sigma_1 / tau, so past this ratio the SVD is used.
 GRAM_COND = 1e4
+
+# Longest tube whose mode-3 rfft and irfft are products with a real DFT
+# matrix; longer ones take numpy's FFT, tube by tube. On 256x256x3 the pair
+# took 0.3 and 0.8 ms against the FFT's 1.6 and 2.3 (one OpenBLAS thread).
+# The product is faster up to about 48, but from 16 on OpenBLAS sums some
+# tubes in an order that depends on the block's number of rows.
+DFT_MATRIX_MAX_N = 15
 
 # BLAS thread counts, in the order the first positive one is taken.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -124,73 +126,96 @@ def _each_slice(fn, n: int) -> None:
         raise errors[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real matrices of the rfft of n-long tubes, tubes @ f, with
+    real and imaginary parts interleaved, and of the irfft of such spectra,
+    @ g, which ignores the imaginary parts of the zero-frequency and
+    Nyquist terms as numpy's does. Angles are reduced exactly first."""
+    k = np.arange(n // 2 + 1)
+    angle = 2.0 * np.pi * (np.arange(n)[:, None] * k % n) / n
+    real = k == 0 if n % 2 else (k == 0) | (2 * k == n)
+    f = np.stack([np.cos(angle), np.where(real, 0.0, -np.sin(angle))], axis=2)
+    g = f.transpose(1, 2, 0) * np.where(real, 1.0 / n, 2.0 / n)[:, None, None]
+    f, g = f.reshape(n, -1), g.reshape(-1, n)
+    f.flags.writeable = g.flags.writeable = False
+    return f, g
+
+
 def _spectrum(a: Tensor3, out: list | None = None) -> list:
     """The rfft of ``a`` along mode 3 as its ``n3 // 2 + 1`` frequency
     slices, each a contiguous (n1, n2) array of its own. The zero-frequency
     slice, and the Nyquist slice when n3 is even, are exactly real and are
     held as real arrays: real factorizations are about twice as fast and
     attach no unit phases to the factors. The rfft runs block by block of
-    rows, so no full-size complex array is made; each tube's rfft is the
-    same as in the whole-array call. With ``out``, a list of such arrays,
-    the slices are written there."""
+    two rows or more, so no full-size complex array is made; a tube's rfft
+    does not depend on its block. With ``out``, a list of such arrays, the
+    slices are written there."""
     n1, n2, n3 = a.shape
     nf = n3 // 2 + 1
     if out is None:
         out = [np.empty((n1, n2), np.float64 if f == 0 or 2 * f == n3 else np.complex128)
                for f in range(nf)]
-    for s in slabs((n1, n2, 2 * nf)):  # a block's tube holds 2 * nf floats
-        block = np.fft.rfft(a[s], axis=2)
+    for s in slabs((n1, n2, 2 * nf), least=2):  # a block's tube holds 2 * nf floats
+        block = (np.fft.rfft(a[s], axis=2) if n3 > DFT_MATRIX_MAX_N else
+                 (a[s].reshape(-1, n3) @ _dft_matrices(n3)[0]).view(np.complex128))
+        block = block.reshape(*a[s].shape[:2], nf)
         for f, fs in enumerate(out):
             fs[s] = block[:, :, f].real if np.isrealobj(fs) else block[:, :, f]
         del block  # not held while the next one is made
     return out
 
 
-def _irfft_rows(out: Tensor3, fill, change: bool = False) -> float | None:
-    """irfft along mode 3 into ``out``, block by block of rows, so that no
-    full-size complex array is made: ``fill(block, s)`` writes the
-    ``n3 // 2 + 1`` frequencies of rows ``s`` along the last axis of the
-    complex ``block``. Each tube's irfft is the same as in the whole-array
-    call. A block holds two rows or more where out has them: numpy hands
-    ``spectral_product``'s product of one row to gemv, which sums in
-    another order than gemm, so its bits would depend on the cut.
+def row_blocks(shape) -> list:
+    """The blocks of rows ``_irfft_rows`` inverts for a tensor of ``shape``;
+    two rows or more each where it has them, as numpy hands a one-row
+    product to gemv, which sums in another order than gemm."""
+    n1, n2, n3 = shape
+    return slabs((n1, n2, 2 * (n3 // 2 + 1) + n3), least=2)
 
-    With ``change``, each block's old rows are subtracted from its inverse
-    before the inverse replaces them, and the call returns
-    ||new out - old out||_F, from the blocks' sums of squares."""
-    n1, n2, n3 = out.shape
+
+def _irfft_rows(shape, fill, take) -> None:
+    """irfft along mode 3 of a tensor of ``shape``, block by block of
+    ``row_blocks``, so that no full-size complex array is made:
+    ``fill(block, s)`` writes the ``n3 // 2 + 1`` frequencies of rows ``s``
+    along the last axis of the complex ``block``, and ``take(rows, s)``
+    receives their irfft, a new array, the same in any block."""
+    n1, n2, n3 = shape
     nf = n3 // 2 + 1
-    squares = 0.0
-    # a block's tube holds 2 * nf floats, and its irfft n3 more
-    for s in slabs((n1, n2, 2 * nf + n3), least=2):
-        block = np.empty((*out[s].shape[:2], nf), np.complex128)
+    for s in row_blocks(shape):
+        block = np.empty((len(range(n1)[s]), n2, nf), np.complex128)
         fill(block, s)
-        rows = np.fft.irfft(block, n=n3, axis=2)
+        rows = (np.fft.irfft(block, n=n3, axis=2) if n3 > DFT_MATRIX_MAX_N else
+                (block.view(np.float64).reshape(-1, 2 * nf) @ _dft_matrices(n3)[1]))
+        rows = rows.reshape(block.shape[:2] + (n3,))
         del block
-        if change:
-            old = out[s]
-            old -= rows  # old - new: the change's negation, in out's own rows
-            squares += float(np.vdot(old, old))
-        out[s] = rows
-        del rows
-    return math.sqrt(squares) if change else None
+        take(rows, s)
+        del rows  # not held while the next block is made
 
 
 def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
     """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
-    ``_spectrum``), by ``_irfft_rows``: into a new array, which is
-    returned, or into ``out``, and then ||new out - old out||_F is
-    returned."""
+    ``_spectrum``), by ``_irfft_rows``: into a new array, which is returned,
+    or into ``out``, returning ||new out - old out||_F summed by blocks."""
+    change = out is not None
+    if out is None:
+        out = np.empty((*spectrum[0].shape, n3))
+    squares = 0.0
 
     def fill(block, s):
         for f, fs in enumerate(spectrum):
             block[:, :, f] = fs[s]
 
-    if out is not None:
-        return _irfft_rows(out, fill, change=True)
-    out = np.empty((*spectrum[0].shape, n3))
-    _irfft_rows(out, fill)
-    return out
+    def take(rows, s):
+        nonlocal squares
+        if change:
+            old = out[s]
+            old -= rows  # old - new: the change's negation, in out's own rows
+            squares += float(np.vdot(old, old))
+        out[s] = rows
+
+    _irfft_rows(out.shape, fill, take)
+    return math.sqrt(squares) if change else out
 
 
 def _stacks(n1: int, n2: int, n3: int, buffer: np.ndarray | None = None) -> tuple[tuple, list]:
@@ -223,19 +248,22 @@ def stacked_spectrum(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
     return stacks
 
 
-def spectral_product(fa: tuple, fb: tuple, n3: int, out: Tensor3 | None = None) -> Tensor3:
+def spectral_product(fa: tuple, fb: tuple, n3: int, take=None) -> Tensor3 | None:
     """The t-product of the tensors whose spectra, in ``_stacks``, are
     ``fa`` (n1 by n2) and ``fb`` (n2 by n4), each n3 long: each frequency's
-    matrix product, inverted by ``_irfft_rows`` into ``out`` (a new array
-    when None), so that the product's spectrum is never held whole. A block
-    of rows takes one batched product over the complex frequencies and one
-    over the real ones, which multiply in real arithmetic."""
+    matrix product, inverted by ``_irfft_rows``, so that the product's
+    spectrum is never held whole. A block of rows takes one batched product
+    over the complex frequencies and one over the real ones, which multiply
+    in real arithmetic. Returned as a new array; or, with ``take``, each
+    block of rows is handed to ``take(rows, s)`` and None is returned."""
     (ra, ca), (rb, cb) = fa, fb
     shape = (ra.shape[1], rb.shape[2], n3)
-    if out is None:
+    out = None
+    if take is None:
         out = np.empty(shape)
-    elif out.shape != shape:
-        raise DimensionError(f"out must have shape {shape}, got {out.shape}")
+
+        def take(rows, s):
+            out[s] = rows
 
     def fill(block, s):
         block[:, :, 1:1 + len(ca)] = np.matmul(ca[:, s], cb).transpose(1, 2, 0)
@@ -244,7 +272,7 @@ def spectral_product(fa: tuple, fb: tuple, n3: int, out: Tensor3 | None = None) 
         if len(real) == 2:
             block[:, :, -1] = real[1]
 
-    _irfft_rows(out, fill)
+    _irfft_rows(shape, fill, take)
     return out
 
 
@@ -386,13 +414,11 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, *, _consume: bool = 
     running over all n3 slices X_f of the mode-3 DFT of x. That equals
     ``tau * tnn`` only for n3 = 1.
 
-    Each rfft slice A is factored once and shrunk in its own array by
-    ``_shrink``. When tau > 0 and ||A||_F <= GRAM_COND * tau, that goes
-    through ``eigh`` of the smaller of A^H A and A A^H, keeping the
-    eigenvalues above tau^2; that costs less than an SVD (about half on a
-    real slice) and is exact to about eps * sigma_1 / tau. Otherwise, and
-    whenever ``eigh`` fails, the slice's SVD is used. The slices are shrunk
-    by ``_each_slice``; the result does not depend on its thread count.
+    Each rfft slice is factored once and shrunk in its own array by
+    ``_shrink``, through ``eigh`` of its smaller Gram matrix where that is
+    exact to about eps * sigma_1 / tau (``GRAM_COND``) and through its SVD
+    otherwise. The slices are shrunk by ``_each_slice``; the result does
+    not depend on its thread count.
 
     The result is returned in a new array, allocated only once every slice
     is shrunk, so that it is not held alongside the slices' temporaries.

@@ -19,9 +19,16 @@ import numpy as np
 import srtd.solver as solver
 from srtd.errors import DimensionError, DivergenceError, ParameterError
 from srtd.solver import SolverConfig
-from srtd.t_algebra import _slice_svd, spectral_product, stacked_spectrum, svt, tsvd_leading
+from srtd.t_algebra import (
+    _slice_svd,
+    row_blocks,
+    spectral_product,
+    stacked_spectrum,
+    svt,
+    tsvd_leading,
+)
 from srtd.tensor_core import Tensor3, astensor3, fro_norm, ttranspose
-from srtd.transforms import dct3, idct3
+from srtd.transforms import dct3, idct3, slabs
 
 _SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
 
@@ -217,13 +224,17 @@ def factor_spectra(a_k: Tensor3, b_k: Tensor3) -> tuple:
 # lambda = 0, which moves them by transform round-off. The solver keeps
 # x, y, z and the next X-update's argument between sweeps, where this
 # textbook loop keeps w and e: ``reference_argument`` forms that argument
-# from them.
+# from them. Both take the rank-r term T into the W-update in the first
+# sweep of a call only: that sweep leaves y = -T off the mask, up to
+# round-off, so later sweeps take w = x there.
 
 @dataclass
 class ReferenceState:
     """Every iterate of the textbook sweep, W and E included; ``e`` and
     ``z`` live in the DCT domain. ``first_change`` is the last call's
-    first-sweep change of x, as its stop test measures it."""
+    first-sweep change of x, as its stop test measures it, and
+    ``residuals`` the last sweep's (‖x−w‖_F, ‖e−dct3(x)‖_F), summed over
+    the blocks the solver's passes take."""
 
     x: Tensor3
     w: Tensor3
@@ -234,13 +245,19 @@ class ReferenceState:
     inner_iter: int = 0
     outer_iter: int = 0
     first_change: float = math.inf
+    residuals: tuple = (math.inf, math.inf)
 
 
 def reference_argument(state: ReferenceState) -> Tensor3:
     """The X-update's argument (w - y/mu + idct3(e + z/mu)) / 2, in a new
-    array; ``srtd.solver.update_x`` forms it with the same operations."""
+    array; ``srtd.solver`` forms it with the same operations."""
     back = idct3(state.e + state.z / state.mu)
     return 0.5 * (state.w - state.y / state.mu + back)
+
+
+def _blocked_norm(a: Tensor3, blocks) -> float:
+    """‖a‖_F from the sums of squares of ``blocks`` of rows, in order."""
+    return math.sqrt(sum(float(np.vdot(a[s], a[s])) for s in blocks))
 
 
 def _update_x(state: ReferenceState, cfg: SolverConfig) -> Tensor3:
@@ -252,8 +269,8 @@ def _update_e(state: ReferenceState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
 
 
 def _update_w(state: ReferenceState, cfg: SolverConfig, m: Tensor3, omega,
-              grad: Tensor3) -> Tensor3:
-    w_free = state.x + (grad + state.y) / state.mu
+              grad: Tensor3 | None) -> Tensor3:
+    w_free = state.x if grad is None else state.x + (grad + state.y) / state.mu
     return np.where(omega, m, w_free)
 
 
@@ -282,12 +299,16 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
                                   outer_iter=state.outer_iter, inner_iter=t)
         dx = dct3(state.x)
         state.e = _update_e(state, cfg, dx)
-        state.z = state.z + state.mu * (state.e - dx)
-        state.w = _update_w(state, cfg, m, omega, grad)
+        dct_gap = state.e - dx
+        state.z = state.z + state.mu * dct_gap
+        state.w = _update_w(state, cfg, m, omega, grad if t == 1 else None)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)
-        state.y = state.y + state.mu * (state.x - state.w)
+        primal_gap = state.x - state.w
+        state.y = state.y + state.mu * primal_gap
+        state.residuals = (_blocked_norm(primal_gap, row_blocks(m.shape)),
+                           _blocked_norm(dct_gap, slabs(m.shape)))
         state.mu = solver.update_mu(state, cfg)
         state.inner_iter = t
 
@@ -322,6 +343,5 @@ def reference_complete(m: Tensor3, omega, cfg: SolverConfig):
         if state.first_change <= cfg.eps_outer:
             break
     trace.append(solver._surrogate(x_cur, factors, cfg.lam))
-    residuals = (fro_norm(state.x - state.w), fro_norm(state.e - dct3(state.x)),
-                 float(state.first_change))
+    residuals = (*state.residuals, float(state.first_change))
     return np.where(omega, m, state.x), tuple(trace), residuals, outer_done, inner_total

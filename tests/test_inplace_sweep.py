@@ -10,12 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from srtd import solver, t_algebra, transforms
 from srtd.solver import SolverConfig, SolverState, admm_solve, srtd_complete
 from srtd.t_algebra import svt, tproduct, tsvd_leading
 from srtd.tensor_core import fro_norm, ttranspose
-from srtd.transforms import dct3
 
 from oracles import (
     ReferenceState,
@@ -27,6 +28,8 @@ from oracles import (
     reference_complete,
     unfold,
 )
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def _instance(shape, seed):
@@ -71,13 +74,11 @@ def _near_state(a, b) -> bool:
             and a.mu == b.mu and a.inner_iter == b.inner_iter)
 
 
-def _near_residuals(new: SolverState, ref: ReferenceState) -> bool:
-    # the sweep sums its norms slab by slab, the reference over the whole
-    # array, so they agree to round-off; the Z-update's difference is the
-    # reference's to the bit
-    primal, dct = new.residuals
-    return (abs(primal - fro_norm(ref.x - ref.w)) <= 1e-12 * primal
-            and dct == fro_norm(ref.e - dct3(ref.x))
+def _same_residuals(new: SolverState, ref: ReferenceState) -> bool:
+    # the reference sums its residuals over the blocks the sweep's passes
+    # take, so they are the sweep's to the bit; the SVT sums the iterate
+    # change block by block, the reference over the whole array
+    return (new.residuals == ref.residuals
             and abs(new.first_change - ref.first_change) <= 1e-12 * ref.first_change)
 
 
@@ -102,7 +103,7 @@ def test_sweep_is_bitwise_the_allocating_reference(slice_threads, threads, n3, d
                 new = admm_solve(m_obs, omega, factors, cfg, warm=new)
                 assert same(new, ref)
                 if lam:
-                    assert _near_residuals(new, ref)
+                    assert _same_residuals(new, ref)
             # the whole solve, with the inner and outer stop tests live
             cfg = SolverConfig(r=2, lam=lam, mu_init=1e-2, max_outer=4, eps_outer=1e-4,
                                stop_mode=stop_mode, seed=n3)
@@ -113,8 +114,8 @@ def test_sweep_is_bitwise_the_allocating_reference(slice_threads, threads, n3, d
             if lam:
                 assert np.array_equal(report.recovered, recovered)
                 assert report.objective_trace == trace
-                # the norms the sweep sums slab by slab agree to round-off
-                assert report.final_residuals[1] == residuals[1]
+                # the residuals to the bit, the iterate change to round-off
+                assert report.final_residuals[:2] == residuals[:2]
                 assert np.allclose(report.final_residuals, residuals, rtol=1e-12, atol=0)
             else:
                 assert _near(report.recovered, recovered)
@@ -146,16 +147,72 @@ def test_sweep_ignores_m_off_the_mask_and_writes_no_input():
     assert np.array_equal(spoiled, spoiled_before, equal_nan=True)
 
 
+@_PROPERTY
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 6),
+       lam=st.sampled_from([0.0, 0.05]), warm=st.booleans(), seed=st.integers(0, 2**16))
+def test_fused_sweep_is_bitwise_the_reference(n1, n2, n3, lam, warm, seed):
+    # x, the next argument, y, z, the residuals, mu and the sweep count of
+    # a call, cold or warm from a lambda = 0.05 call with the next outer
+    # step's factors. A cold start at lambda = 0 skips the E/Z steps, a
+    # round-off away from the reference (test_zero_lambda_matches_the_full_
+    # ez_loop); from a warm state, whose z is not 0, they run
+    assume(warm or lam)
+    g, omega = _instance((n1, n2, n3), seed)
+    m_obs = np.where(omega, g, 0.0)
+    factors = tsvd_leading(m_obs, 1)
+    cfg = SolverConfig(r=1, lam=lam, mu_init=1e-2, eps_outer=1e-30, max_inner=6, seed=seed)
+    ref = new = None
+    if warm:
+        ref = reference_admm_solve(m_obs, omega, factors, replace(cfg, lam=0.05))
+        new = admm_solve(m_obs, omega, factors, replace(cfg, lam=0.05))
+        factors = tsvd_leading(new.x, 1)
+    ref = reference_admm_solve(m_obs, omega, factors, cfg, warm=ref)
+    new = admm_solve(m_obs, omega, factors, cfg, warm=new)
+    assert _same_state(new, ref) and new.inner_iter == 6
+    assert _same_residuals(new, ref)
+
+
+@_PROPERTY
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 6),
+       lam=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**16))
+def test_sweeps_after_the_first_leave_y_off_the_mask(n1, n2, n3, lam, seed):
+    # the first sweep of a call takes the rank-r term T and leaves y = -T
+    # off the mask, to round-off; later sweeps take w = x there, so the
+    # Y-update adds mu (x - x) = 0 and y stays as it was, bit for bit. The
+    # term is built once per call, cold or warm
+    g, omega = _instance((n1, n2, n3), seed)
+    m_obs = np.where(omega, g, 0.0)
+    factors = tsvd_leading(m_obs, 1)
+    cfg = SolverConfig(r=1, lam=lam, mu_init=1e-2, eps_outer=1e-30, max_inner=1, seed=seed)
+    calls = Counter()
+    product = solver.spectral_product
+
+    def counted(*args, **kwargs):
+        calls["spectral_product"] += 1
+        return product(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "spectral_product", counted)
+        for warm in (None, admm_solve(m_obs, omega, factors, cfg)):
+            copy = (lambda: None) if warm is None else (lambda: _copy(warm))
+            first = admm_solve(m_obs, omega, factors, cfg, warm=copy())
+            calls.clear()
+            state = admm_solve(m_obs, omega, factors, replace(cfg, max_inner=5), warm=copy())
+            assert calls["spectral_product"] == 1 and state.inner_iter == 5
+            assert np.array_equal(state.y[~omega], first.y[~omega])
+
+
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 32])
 @pytest.mark.parametrize("rank", ["1", "min"])
 def test_w_update_rebuilds_the_rank_r_term_bit_for_bit(monkeypatch, n3, rank):
-    # the W-update rebuilds tproduct(ttranspose(a_k), b_k) from the factors'
-    # spectra straight into w's buffer, two rows at a time here, the odd
-    # last row joining the block before it: numpy would multiply a one-row
-    # block by gemv, not gemm. With x = y = 0, mu = 1 and nothing observed,
-    # w is that term, which must be the allocating reference's t-product
-    # bit for bit; the buffer's old contents are never read. r = 1
-    # multiplies outside BLAS, r = 7 inside
+    # the first sweep's W-update builds tproduct(ttranspose(a_k), b_k) from
+    # the factors' spectra a block of rows at a time, two rows here, the
+    # odd last row joining the block before it: numpy would multiply a
+    # one-row block by gemv, not gemm. With x = y = 0, mu = 1 and nothing
+    # observed, w is that term T, the Y-update leaves y = 0 + (0 - w) = -T
+    # and the argument (w - y + 0) / 2 = T, which must be the allocating
+    # reference's t-product bit for bit; the argument's buffer is written,
+    # never read. r = 1 multiplies outside BLAS, r = 7 inside
     rng = np.random.default_rng(n3)
     n1, n2 = 9, 7
     r = 1 if rank == "1" else min(n1, n2)
@@ -171,14 +228,13 @@ def test_w_update_rebuilds_the_rank_r_term_bit_for_bit(monkeypatch, n3, rank):
 
     monkeypatch.setattr(t_algebra, "slabs", cut)
     zero = np.zeros((n1, n2, n3))
-    state = SolverState(x=zero, arg=None, y=zero, z=None, mu=1.0)
-    w = np.full(zero.shape, np.nan)
-    out = solver.update_w(state, SolverConfig(r=r), zero, np.zeros(zero.shape, bool), factors,
-                          out=w)
+    state = SolverState(x=zero, arg=np.full(zero.shape, np.nan), y=np.zeros(zero.shape),
+                        z=None, mu=1.0)
+    solver.update_wy(state, zero, np.zeros(zero.shape, bool), factors, zero, 1.0)
     assert blocks == [2, 2, 2, 3]
     term = tproduct(ttranspose(a_k), b_k)
-    assert out is w
-    assert np.array_equal(w, term)
+    assert np.array_equal(-state.y, term)
+    assert np.array_equal(state.arg, term)
     # and the term is the t-product, by the block-circulant route
     oracle = fold(bcirc(ttranspose(a_k)) @ unfold(b_k), zero.shape)
     assert fro_norm(term - oracle) <= 1e-12 * fro_norm(oracle)
@@ -356,8 +412,9 @@ def test_solve_peak_memory_in_tensor_sizes(slice_threads):
     # allocated after the slices at 8.31; with the W-update's rank-r term
     # kept as its factors' spectra, at 7.31, and 7.04 with the outer T-SVD
     # factors kept as spectra; with four tensors between sweeps and the SVT
-    # writing x over the previous x, at 6.04 (numpy 2.4, one slice thread).
-    # The bound keeps the margin of the 64x64x32 guards, half a tensor
+    # writing x over the previous x, at 6.04; with e and w formed a slab at
+    # a time, at 5.86 (numpy 2.4, one slice thread). The bound keeps the
+    # margin of the 64x64x32 guards, half a tensor
     slice_threads(1)
     rng = np.random.default_rng(0)
     g = tproduct(rng.random((48, 3, 24)), rng.random((3, 40, 24)))
@@ -386,8 +443,9 @@ def test_sweep_writes_x_over_the_previous_x(slice_threads):
     # 7.39, the outer loop holding a copy of x through step 2. With four
     # tensors between sweeps (x, the next SVT's argument, y and z), the
     # SVT writing x over the previous x and no copy of x kept, at 5.44;
-    # 5.39 at lambda = 0, with the E/Z steps skipped. The bound leaves
-    # about half a tensor
+    # 5.39 at lambda = 0, with the E/Z steps skipped. With e formed a slab
+    # at a time and no w tensor, at 5.38 at either lambda: the SVT's rfft
+    # slices beside the four tensors. The bound leaves about half a tensor
     slice_threads(1)
     g, omega = _video_instance()
     for lam in (0.01, 0.0):
@@ -403,8 +461,9 @@ def test_outer_steps_of_one_sweep_peak_memory(slice_threads):
     # video workload ends its second step after one sweep. Between the
     # sweeps the outer step keeps no copy of x, takes its objective's l1
     # term in dct3's own result, and an in-place DCT holds one slab buffer
-    # at a time. Measured 5.44 tensors at lambda 0.01 and 5.39 at 0 (numpy
-    # 2.4, one slice thread); 6.44 and 6.39 with five tensors between
+    # at a time. Measured 5.38 tensors at lambda 0.01 and at 0 (numpy 2.4,
+    # one slice thread), 5.44 and 5.39 with a full-size e in the sweep;
+    # 6.44 and 6.39 with five tensors between
     # sweeps and the outer step's change taken with one temporary; 7.25
     # with np.where's and np.abs's full-size temporaries and each DCT
     # slab's buffer held into the next, and 7.57 and 7.75 with the
@@ -423,15 +482,55 @@ def test_outer_steps_of_one_sweep_peak_memory(slice_threads):
 def test_whole_video_solve_peak_memory(slice_threads, threads):
     # 64x64x32, r = 4, lambda 0.01, run to its stop as the benchmark's video
     # workload: 133 sweeps in two outer steps. Four tensors live between
-    # sweeps and a fifth, e, inside one; the SVT adds its one tensor size
-    # of rfft slices. Measured 5.44 tensors on one slice thread and 5.52
-    # on two; 6.44 on either with five tensors between sweeps
+    # sweeps, and a sweep adds slab-sized arrays to them, and the SVT its
+    # one tensor size of rfft slices. Measured 5.38 tensors on one slice
+    # thread and on two; 5.44 and 5.52 with a full-size e in each sweep,
+    # and 6.44 on either with five tensors between sweeps
     slice_threads(threads)
     g, omega = _video_instance()
     cfg = SolverConfig(r=4, lam=0.01, stop_mode="absolute", seed=0)
     peak, report = _solve_peak(g, omega, cfg, replace(cfg, max_outer=1, max_inner=2))
     assert (report.outer_iters, report.inner_iters_total) == (2, 133)
     assert peak <= 6.0
+
+
+def test_sweep_outside_the_svt_holds_no_e_or_w(slice_threads, monkeypatch):
+    # the same solve, traced from each SVT's return to the next SVT call
+    # or the end of its admm_solve call: the rest of every sweep, where the
+    # E/Z and W/Y passes form e and w a slab at a time beside the four
+    # tensors. Measured 4.64 tensors (numpy 2.4, one slice thread); 5.45
+    # with a full-size e alive from the E-update to the next argument.
+    # The bound leaves about half a tensor
+    slice_threads(1)
+    g, omega = _video_instance()
+    cfg = SolverConfig(r=4, lam=0.01, stop_mode="absolute", seed=0)
+    peaks, svt, admm = [], solver.svt, solver.admm_solve
+    in_sweep = False
+
+    def note():
+        if in_sweep and tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    def traced_svt(*args, **kwargs):
+        nonlocal in_sweep
+        note()
+        result = svt(*args, **kwargs)
+        tracemalloc.reset_peak()  # the SVT's own peak is not the sweep's
+        in_sweep = True
+        return result
+
+    def traced_admm(*args, **kwargs):
+        nonlocal in_sweep
+        result = admm(*args, **kwargs)
+        note()
+        in_sweep = False
+        return result
+
+    monkeypatch.setattr(solver, "svt", traced_svt)
+    monkeypatch.setattr(solver, "admm_solve", traced_admm)
+    _, report = _solve_peak(g, omega, cfg, replace(cfg, max_outer=1, max_inner=2))
+    assert len(peaks) == report.inner_iters_total == 133
+    assert max(peaks) / g.nbytes <= 5.15
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["dct3", "idct3"])
@@ -462,7 +561,8 @@ def test_solve_peak_memory_with_few_large_slices(slice_threads, threads):
     # with the factors kept as spectra. With four tensors between sweeps, at 6.71 on one
     # and 6.82-7.53 over 40 runs on two (median 6.92; numpy 2.4). With the
     # SVT's slices shrunk in its spent argument's buffer, at 6.19 on one and
-    # 6.20 in every one of 12 runs on two. The bound leaves about half a
+    # 6.20 in every one of 12 runs on two; with e and w formed a slab at a
+    # time, at 5.97 on one and 6.09 on two. The bound leaves about half a
     # tensor on either thread count
     slice_threads(threads)
     rng = np.random.default_rng(0)

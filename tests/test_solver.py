@@ -18,10 +18,9 @@ from srtd.solver import (
     admm_solve,
     soft_threshold,
     srtd_complete,
-    update_e,
+    update_ez,
     update_mu,
-    update_w,
-    update_x,
+    update_wy,
 )
 from srtd.t_algebra import spectral_product, svt, tnn, tproduct, trace_pair, tsvd_leading
 from srtd.tensor_core import fro_norm, l1_norm, ttranspose
@@ -178,15 +177,21 @@ def test_truncate_factors_range_check():
         truncate_factors(f, 4)
 
 
+def _argument(state, w, back, mu):
+    """The next X-update's argument as the sweep forms it, from x = w with
+    nothing observed, so that w is x and y is left as it is."""
+    state.x = w
+    update_wy(state, w, np.zeros(w.shape, bool), None, back, mu)
+    return state.arg
+
+
 def test_update_x_fixed_point():
     rng = np.random.default_rng(3)
     x_star = rng.standard_normal((5, 4, 3))
     state = _make_state(rng, (5, 4, 3), mu=1e8)
     state.y = np.zeros_like(x_star)
     state.z = np.zeros_like(x_star)
-    w = x_star.copy()
-    arg = update_x(state, SolverConfig(r=2), w, dct3(x_star))
-    assert arg is w  # formed in w's buffer
+    arg = _argument(state, x_star.copy(), idct3(dct3(x_star)), state.mu)
     out = svt(arg, 1.0 / (2.0 * state.mu))
     assert fro_norm(out - x_star) <= 1e-6 * fro_norm(x_star)
 
@@ -196,46 +201,66 @@ def test_update_x_negligible_threshold_returns_average():
     state = _make_state(rng, (4, 4, 2), mu=1e15)
     w, e = rng.standard_normal((2, 4, 4, 2))
     avg = 0.5 * (w - state.y / state.mu + idct3(e + state.z / state.mu))
-    x = svt(update_x(state, SolverConfig(r=2), w, e), 1.0 / (2.0 * state.mu))
+    arg = _argument(state, w, idct3(e + state.z / state.mu), state.mu)
+    x = svt(arg, 1.0 / (2.0 * state.mu))
     assert np.abs(x - avg).max() <= 1e-6
 
 
 def test_update_x_matches_primitive_composition():
     # the argument is formed in the operations of the allocating
-    # expression, so it equals it bitwise; with e None, x stands in for
-    # idct3(e + z/mu). x, y and z are not written
+    # expression, so it equals it bitwise, also when its back term is read
+    # from the argument's own buffer or is x standing in for idct3(e +
+    # z/mu). x, y and z are not written
     rng = np.random.default_rng(5)
     state = _make_state(rng, (6, 6, 3), mu=0.37)
     w, e = rng.standard_normal((2, 6, 6, 3))
-    before = [a.copy() for a in (state.x, state.y, state.z)]
-    want = 0.5 * (w - state.y / state.mu + idct3(e + state.z / state.mu))
-    assert np.array_equal(update_x(state, SolverConfig(r=2), w.copy(), e.copy()), want)
-    want = 0.5 * (w - state.y / state.mu + state.x)
-    assert np.array_equal(update_x(state, SolverConfig(r=2), w.copy()), want)
-    assert all(np.array_equal(a, b) for a, b in zip((state.x, state.y, state.z), before))
+    before = [a.copy() for a in (w, state.y, state.z)]
+    back = idct3(e + state.z / state.mu)
+    want = 0.5 * (w - state.y / state.mu + back)
+    state.arg = back.copy()
+    assert np.array_equal(_argument(state, w, state.arg, state.mu), want)
+    want = 0.5 * (w - state.y / state.mu + w)
+    assert np.array_equal(_argument(state, w, w, state.mu), want)
+    assert all(np.array_equal(a, b) for a, b in zip((w, state.y, state.z), before))
+
+
+def _update_ez(state, cfg):
+    """update_ez on state.arg = dct3(x); returns e, recovered from the
+    slab it leaves (e + z/mu_next) to round-off, mu_next and the residual."""
+    mu_next = update_mu(state, cfg)
+    state.arg = dct3(state.x)
+    residual = update_ez(state, cfg, mu_next)
+    return state.arg - state.z / mu_next, mu_next, residual
 
 
 def test_update_e_zero_lambda_is_exact():
     rng = np.random.default_rng(6)
     state = _make_state(rng, (4, 5, 2))
-    out = update_e(state, SolverConfig(r=2, lam=0.0), dct3(state.x))
-    assert np.allclose(out, dct3(state.x) - state.z / state.mu, atol=1e-15)
+    want = dct3(state.x) - state.z / state.mu
+    e, _, _ = _update_ez(state, SolverConfig(r=2, lam=0.0))
+    assert np.allclose(e, want, atol=1e-15)
+    assert np.abs(state.z).max() <= 1e-15  # z += mu (e - dct3(x)) = -z
 
 
 def test_update_e_large_threshold_zeroes():
     rng = np.random.default_rng(7)
     state = _make_state(rng, (4, 5, 2), mu=1.0)
-    target = dct3(state.x) - state.z
-    out = update_e(state, SolverConfig(r=2, lam=2.0 * np.abs(target).max()), dct3(state.x))
-    assert np.array_equal(out, np.zeros_like(out))
+    dx = dct3(state.x)
+    z0 = state.z.copy()
+    cfg = SolverConfig(r=2, lam=2.0 * np.abs(dx - state.z).max())
+    _, mu_next, residual = _update_ez(state, cfg)
+    # e = 0: z += mu (0 - dct3(x)), and the slab holds 0 + z/mu_next
+    assert np.array_equal(state.z, z0 + state.mu * (0.0 - dx))
+    assert np.array_equal(state.arg, state.z / mu_next)
+    assert abs(residual - fro_norm(dx)) <= 1e-12 * fro_norm(dx)
 
 
 def test_update_e_prox_optimality():
     rng = np.random.default_rng(8)
     state = _make_state(rng, (4, 4, 3), mu=2.3)
     cfg = SolverConfig(r=2, lam=0.7)
-    e_out = update_e(state, cfg, dct3(state.x))
     target = dct3(state.x) - state.z / state.mu
+    e_out, _, _ = _update_ez(state, cfg)
 
     def objective(v):
         return cfg.lam * l1_norm(v) + 0.5 * state.mu * fro_norm(v - target) ** 2
@@ -247,17 +272,34 @@ def test_update_e_prox_optimality():
         assert base <= objective(e_out + delta) + 1e-12
 
 
+def _update_wy(state, m, omega, factors):
+    """update_wy with idct3(e + z/mu) taken as 0; returns the residual."""
+    mu_next = update_mu(state, SolverConfig(r=2))
+    return update_wy(state, m, omega, factors, np.zeros(m.shape), mu_next)
+
+
 def test_update_w_full_and_empty_masks():
+    # w is seen through the Y-update, y + mu (x - w): with every entry
+    # observed w is m, bit for bit; with none, w = x + (T + y)/mu, so that
+    # the Y-update leaves y = -T, T the rank-r term
     rng = np.random.default_rng(9)
     state = _make_state(rng, (4, 5, 3))
     a_k, b_k = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 5, 3))
     factors = factor_spectra(a_k, b_k)
     m = rng.standard_normal((4, 5, 3))
     full = np.ones(m.shape, dtype=bool)
-    assert np.array_equal(update_w(state, SolverConfig(r=2), m, full, factors), m)
-    w_free = state.x + (tproduct(ttranspose(a_k), b_k) + state.y) / state.mu
-    out = update_w(state, SolverConfig(r=2), m, ~full, factors)
-    assert np.allclose(out, w_free, atol=1e-12)
+    y0 = state.y.copy()
+    primal = _update_wy(state, m, full, factors)
+    assert np.array_equal(state.y, y0 + state.mu * (state.x - m))
+    assert primal == pytest.approx(fro_norm(state.x - m), rel=1e-12)
+    state.y = y0.copy()
+    term = tproduct(ttranspose(a_k), b_k)
+    primal = _update_wy(state, m, ~full, factors)
+    assert np.allclose(state.y, -term, atol=1e-12)
+    assert primal == pytest.approx(fro_norm(term + y0) / state.mu, rel=1e-12)
+    # without the factors, w is x off the mask: y and the residual are 0 there
+    primal = _update_wy(state, m, ~full, None)
+    assert np.allclose(state.y, -term, atol=1e-12) and primal == 0.0
 
 
 def test_update_w_pins_observed_entries_bitwise():
@@ -266,8 +308,10 @@ def test_update_w_pins_observed_entries_bitwise():
     factors = factor_spectra(rng.standard_normal((2, 6, 2)), rng.standard_normal((2, 6, 2)))
     m = rng.standard_normal((6, 6, 2))
     omega = random_mask(m.shape, 0.4, 0)
-    out = update_w(state, SolverConfig(r=2), m, omega, factors)
-    assert np.array_equal(out[omega], m[omega])
+    for f in (factors, None):
+        y0 = state.y.copy()
+        _update_wy(state, m, omega, f)
+        assert np.array_equal(state.y[omega], (y0 + state.mu * (state.x - m))[omega])
 
 
 def test_admm_sweep_dual_steps():
@@ -437,8 +481,9 @@ def test_complete_rejects_oversized_rank():
 
 
 def test_complete_hoists_sweep_invariant_work(monkeypatch):
-    # dct3(x) once per sweep, and the W-update's factors once per outer
-    # step: the counts below stay exact whatever the number of sweeps
+    # dct3(x) once per sweep, and the W-update's factors and rank-r term
+    # once per outer step: the counts below stay exact whatever the number
+    # of sweeps
     calls = Counter()
 
     def counted(module, name):
@@ -471,11 +516,11 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         assert calls["dct3"] == (sweeps + outer + 1 if lam else 0)
         # the cold start's argument, and with lam > 0 one per sweep
         assert calls["idct3"] == (sweeps + 1 if lam else 1)
-        # the factors per outer step, and the rank-r term rebuilt from them
-        # per sweep; the surrogate takes its trace from the zero-frequency
-        # slices, so no t-product is taken
+        # the factors per outer step, and the rank-r term built from them
+        # once per admm_solve call, for its first sweep; the surrogate takes
+        # its trace from the zero-frequency slices, so no t-product is taken
         assert calls["tsvd_leading"] == outer
-        assert calls["spectral_product"] == sweeps
+        assert calls["spectral_product"] == outer
         assert calls["tproduct"] == calls["ttranspose"] == 0
 
 

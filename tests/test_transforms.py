@@ -1,14 +1,16 @@
 """The solver's mode-3 rfft pair (``t_algebra._spectrum`` and
 ``_from_spectrum``) and the orthonormal 3-D DCT pair, checked against
 explicit transform-matrix oracles built independently of any FFT library,
-and the rfft pair also tube by tube against numpy's own rfft and irfft."""
+and the rfft pair also tube by tube against numpy's own rfft and irfft:
+bitwise on the FFT route, and to round-off on the DFT-matrix route of
+short tubes."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srtd import transforms
+from srtd import t_algebra, transforms
 from srtd.errors import DimensionError, ParameterError
 from srtd.t_algebra import _from_spectrum, _spectrum
 from srtd.tensor_core import fro_norm
@@ -104,15 +106,25 @@ def test_idft_zero_spectrum():
     assert np.array_equal(_from_spectrum(zero, 3), np.zeros((2, 2, 3)))
 
 
-@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 32])
-def test_rfft_pair_is_bitwise_numpys_rfft_tube_by_tube(monkeypatch, n3):
-    # both directions run in several row blocks, and each tube must come out
-    # as numpy's rfft and irfft give it for that tube alone; the real
-    # slices hold the real parts, where the rfft's imaginary parts are 0
-    rng = np.random.default_rng(n3)
+def _tube_pair(n3, seed):
+    """A 7x5xn3 tensor and an arbitrary spectrum of its shape, real on the
+    slices the pair holds as real."""
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((7, 5, n3))
     spectrum = [fs + (1j * rng.standard_normal(fs.shape) if np.iscomplexobj(fs) else 0.0)
                 for fs in _spectrum(rng.standard_normal(a.shape))]
+    return a, spectrum
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 32])
+def test_rfft_pair_is_bitwise_numpys_rfft_tube_by_tube(monkeypatch, n3):
+    # on the FFT route, which tubes longer than DFT_MATRIX_MAX_N take (here
+    # every tube), both directions run in several row blocks, and each tube
+    # must come out as numpy's rfft and irfft give it for that tube alone;
+    # the real slices hold the real parts, where the rfft's imaginary parts
+    # are 0
+    monkeypatch.setattr(t_algebra, "DFT_MATRIX_MAX_N", 0)
+    a, spectrum = _tube_pair(n3, n3)
     monkeypatch.setattr(transforms, "SLAB_ENTRIES", 2 * 5 * n3 + 1)
     s = _spectrum(a)
     back = _from_spectrum(spectrum, n3)
@@ -128,13 +140,36 @@ def test_rfft_pair_is_bitwise_numpys_rfft_tube_by_tube(monkeypatch, n3):
                 np.array([fs[i, j] for fs in spectrum], dtype=complex), n=n3))
 
 
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 8, 14, 15])
+def test_dft_matrix_pair_is_numpys_to_round_off_in_any_block(monkeypatch, n3):
+    # tubes up to DFT_MATRIX_MAX_N long are transformed as products with a
+    # real DFT matrix: each tube comes out the same in blocks of two rows
+    # as in one block, and within round-off of numpy's rfft and irfft
+    assert n3 <= t_algebra.DFT_MATRIX_MAX_N
+    a, spectrum = _tube_pair(n3, n3)
+    whole, back_whole = _spectrum(a), _from_spectrum(spectrum, n3)
+    monkeypatch.setattr(transforms, "SLAB_ENTRIES", 2 * 5 * (2 * (n3 // 2) + 2 + n3))
+    assert len(t_algebra.row_blocks(a.shape)) == 3
+    s, back = _spectrum(a), _from_spectrum(spectrum, n3)
+    assert all(np.array_equal(p, q) for p, q in zip(s, whole))
+    assert np.array_equal(back, back_whole)
+    rfft = np.fft.rfft(a, axis=2)
+    irfft = np.fft.irfft(np.stack(spectrum, axis=2), n=n3, axis=2)
+    for f, fs in enumerate(s):
+        assert np.isrealobj(fs) == _is_real_slice(f, n3)
+        assert np.abs(fs - rfft[:, :, f]).max() <= 1e-15 * n3 * np.abs(a).max()
+    assert np.abs(back - irfft).max() <= 1e-15 * n3 * np.abs(irfft).max()
+
+
 @_PROPERTY
 @given(n1=st.integers(2, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, data):
+       seed=st.integers(0, 2**32 - 1), fft=st.booleans(), data=st.data())
+def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, fft, data):
     # an arbitrary spectrum, real on the slices svt holds as real; the irfft
-    # runs in blocks of 1 to n1 - 1 rows of the result, and each tube must
-    # come out as in the whole-array irfft
+    # runs in blocks of fewer rows than the result has, and each tube must
+    # come out as in the pair's whole-array irfft: numpy's on the FFT route,
+    # and the product with the DFT matrix, to round-off numpy's, on the
+    # matrix route of short tubes
     rng = np.random.default_rng(seed)
     spectrum = [rng.standard_normal((n1, n2)) if _is_real_slice(f, n3)
                 else rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
@@ -143,10 +178,18 @@ def test_idft_in_row_blocks_is_bitwise_the_whole_array_irfft(n1, n2, n3, seed, d
     block = (data.draw(st.integers(1, n1 - 1), label="rows") * row
              + data.draw(st.integers(0, row - 1), label="spare"))
     with pytest.MonkeyPatch.context() as mp:
+        if fft:
+            mp.setattr(t_algebra, "DFT_MATRIX_MAX_N", 0)
+        whole = _from_spectrum(spectrum, n3)
         mp.setattr(transforms, "SLAB_ENTRIES", block)
         assert len(slabs((n1, n2, n3))) > 1
         blocked = _from_spectrum(spectrum, n3)
-    assert np.array_equal(blocked, np.fft.irfft(np.stack(spectrum, axis=2), n=n3, axis=2))
+    assert np.array_equal(blocked, whole)
+    numpys = np.fft.irfft(np.stack(spectrum, axis=2), n=n3, axis=2)
+    if fft:
+        assert np.array_equal(whole, numpys)
+    else:
+        assert np.abs(whole - numpys).max() <= 1e-15 * n3 * np.abs(numpys).max()
 
 
 @pytest.mark.parametrize("block", [1, 5, 12, 13, 1 << 15])
