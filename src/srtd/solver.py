@@ -29,6 +29,12 @@ at a time). So no sweep holds E or W whole, and it sums its residuals
 stops once a step's first sweep changes X by at most eps_outer, that is,
 once a step ran one sweep.
 
+The reported objective's ℓ1 term ‖dct3(X)‖_1 comes from the sweeps: the
+last sweep of an ``admm_solve`` call, known after its SVT (the change is
+at most eps_outer, or max_inner is reached), also sums |dct3(X)| over the
+slabs of its E-update. Only outer step 1, before any sweep, takes a dct3
+of X for it.
+
 With lambda = 0 and Z = 0 on entry, E = dct3(X) and Z = 0 after every
 sweep, so the E/Z steps are skipped and X stands in for idct3(E + Z/mu).
 """
@@ -107,7 +113,9 @@ class SolverState:
     of the next X-update's SVT), and the duals y and z, z in the DCT
     domain. W and E live only inside a sweep. ``first_change`` is the
     last call's first-sweep change of x, as its stop test measures it, and
-    ``residuals`` the last sweep's (‖x−w‖_F, ‖e−dct3(x)‖_F)."""
+    ``residuals`` the last sweep's (‖x−w‖_F, ‖e−dct3(x)‖_F). ``l1`` is
+    ‖dct3(x)‖_1 of the x the last call returned, summed slab by slab by its
+    last sweep; NaN where lambda = 0 skipped the E/Z steps."""
 
     x: Tensor3
     arg: Tensor3
@@ -118,6 +126,7 @@ class SolverState:
     outer_iter: int = 0
     first_change: float = math.inf
     residuals: tuple = (math.inf, math.inf)
+    l1: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -159,14 +168,19 @@ def _pin(w: Tensor3, m: Tensor3, omega) -> None:
         del flip  # not held while the next slab's is made
 
 
-def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float) -> float:
+def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float,
+              last: bool = False) -> float:
     """The E- and Z-updates, a slab at a time, on state.arg holding
     dct3(x): each slab of e is formed beside it, z += mu (e − dct3(x)), and
-    the slab is left holding e + z/mu_next. Returns ‖e − dct3(x)‖_F."""
+    the slab is left holding e + z/mu_next. Returns ‖e − dct3(x)‖_F. On a
+    call's ``last`` sweep, state.l1 takes ‖dct3(x)‖_1 from the slabs, as
+    ``_surrogate`` sums it."""
     tau = cfg.lam / state.mu
-    squares = 0.0
+    squares = l1 = 0.0
     for s in slabs(state.arg.shape):
         dx, z = state.arg[s], state.z[s]
+        if last:
+            l1 += float(np.abs(dx).sum())
         e = z / state.mu
         np.subtract(dx, e, out=e)
         e -= np.clip(e, -tau, tau)  # soft_threshold, in place
@@ -176,6 +190,8 @@ def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float) -> float:
         z += dx
         np.add(e, np.divide(z, mu_next, out=dx), out=dx)
         del e  # not held while the next slab's is made
+    if last:
+        state.l1 = l1
     return math.sqrt(squares)
 
 
@@ -279,7 +295,8 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
         dct_residual = 0.0
         if not skip_ez:
             dct3(x, out=state.arg)
-            dct_residual = update_ez(state, cfg, mu_next)
+            last = delta <= cfg.eps_outer or t == cfg.max_inner
+            dct_residual = update_ez(state, cfg, mu_next, last)
             idct3(state.arg, out=state.arg)
         primal = update_wy(state, m, omega, factors if t == 1 else None,
                            x if skip_ez else state.arg, mu_next)
@@ -293,17 +310,20 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     return state
 
 
-def _surrogate(x, factors, lam) -> float:
+def _surrogate(x, factors, lam, l1: float | None = None) -> float:
     """tnn(x) - tr(U_r^T * x * V_r) + lam ||dct3(x)||_1, ``factors`` being
     U_r's and V_r^T's spectral stacks. The trace of a t-product reads only
-    its zero-frequency slice, the first of each real stack."""
+    its zero-frequency slice, the first of each real stack. ||dct3(x)||_1
+    is ``l1`` if given (a state's, from the sweep that made x), and is
+    otherwise summed over the slabs ``update_ez`` takes, in its order."""
     (fu, _), (fv, _) = factors
     low_rank = tnn(x) - float(np.sum((fu[0].T @ x.sum(2)) * fv[0]))
     if lam == 0:
         return low_rank
-    d = dct3(x)
-    np.abs(d, out=d)  # in dct3's own result: no second full-size array
-    return low_rank + lam * float(d.sum())
+    if l1 is None:
+        d = dct3(x)
+        l1 = sum(float(np.abs(d[s]).sum()) for s in slabs(d.shape))
+    return low_rank + lam * l1
 
 
 def check_problem(m: Tensor3, omega, cfg: SolverConfig) -> tuple:
@@ -337,7 +357,9 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
 
     for k in range(1, cfg.max_outer + 1):
         factors = tsvd_leading(x, cfg.r)
-        trace.append(_surrogate(x, factors, cfg.lam))
+        # step 1 has no state yet; later steps take the l1 term of the
+        # sweep that made x
+        trace.append(_surrogate(x, factors, cfg.lam, None if state is None else state.l1))
         del x  # step 1's is not held through the solve: its cold start rebuilds it
         if state is not None:
             state.outer_iter = k
@@ -354,7 +376,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
         if state.first_change <= cfg.eps_outer:
             break
 
-    trace.append(_surrogate(x, factors, cfg.lam))
+    trace.append(_surrogate(x, factors, cfg.lam, state.l1))
     _pin(x, m, omega)  # the state is not returned: x's buffer takes the result
     return SolveReport(
         recovered=x,

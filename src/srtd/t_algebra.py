@@ -10,28 +10,33 @@ when that is exact to rounding (``GRAM_COND``), and through the slice's
 SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
 first ``n3 // 2 + 1`` slices are ever touched: ``_spectrum`` and
 ``_irfft_rows`` (rfft/irfft) are the library's only mode-3 DFT pair. They
-hold the spectrum as one contiguous (n1, n2) array per frequency, real for
-the zero-frequency and Nyquist slices, and build and invert it block by
-block of rows, so that no full-size complex array is made; tubes up to
+hold the spectrum as one (n1, n2) array per frequency, real for the
+zero-frequency and Nyquist slices, and build and invert it block by block
+of rows, so that no full-size complex array is made; tubes up to
 ``DFT_MATRIX_MAX_N`` long as products with a real DFT matrix, which beats
-numpy's FFT on them, longer ones by the FFT. ``svt`` shrinks each slice in its own array, with at most two
-slice-sized matrices beside it, and can write its result over a given
-array, such as the previous iterate, returning how far it moved. For the
-solver, whose argument is dead once read, it moves the slices into that
-argument's buffer, so that no separate spectrum is held while they are
-shrunk. A t-product (``spectral_product``, on spectra held as one real
-and one complex stack, the layout ``_stacks`` decides) forms each block of
-rows of every frequency's product at once and inverts it, so the
-product's spectrum is never held whole; the blocks can be handed to the
-caller instead of written into a tensor.
+numpy's FFT on them, longer ones by the FFT. ``svt`` shrinks each slice in
+its own array, with at most two slice-sized matrices beside it, and can
+write its result over a given array, such as the previous iterate,
+returning how far it moved. For the solver, whose argument is dead once
+read, it writes each block of rows' rfft over the rows it read, in the
+layout of ``_row_slices``: row i of the buffer holds row i of every
+frequency slice, complex slices first, so each slice is a strided view of
+the argument and no separate spectrum is held. A t-product
+(``spectral_product``, on spectra held as one real and one complex stack,
+the layout ``_stacks`` decides) forms each block of rows of every
+frequency's product at once and inverts it, so the product's spectrum is
+never held whole; the blocks can be handed to the caller instead of
+written into a tensor.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
 helper threads that each call starts and joins (``_each_slice``), with
 the CPUs that BLAS leaves free (``_slice_threads``); with no BLAS thread
 count set, on the calling thread alone. Results do not depend on the
-number of slice threads. ``tsvd_leading`` factors its slices one after
-another, dropping each once factored, and returns the kept factors as
-stacks that ``spectral_product`` multiplies in the Fourier domain.
+number of slice threads, nor on whether the slices are views of the
+argument's rows. ``tsvd_leading`` takes its slices a few frequencies per
+pass of the rfft, factors them one after another, dropping each once
+factored, and returns the kept factors as stacks that
+``spectral_product`` multiplies in the Fourier domain.
 """
 
 from __future__ import annotations
@@ -142,28 +147,49 @@ def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
-def _spectrum(a: Tensor3, out: list | None = None) -> list:
+def _spectrum(a: Tensor3, out: list | None = None, freqs: range | None = None) -> list:
     """The rfft of ``a`` along mode 3 as its ``n3 // 2 + 1`` frequency
-    slices, each a contiguous (n1, n2) array of its own. The zero-frequency
-    slice, and the Nyquist slice when n3 is even, are exactly real and are
-    held as real arrays: real factorizations are about twice as fast and
-    attach no unit phases to the factors. The rfft runs block by block of
-    two rows or more, so no full-size complex array is made; a tube's rfft
-    does not depend on its block. With ``out``, a list of such arrays, the
-    slices are written there."""
+    slices, or those of ``freqs``, each a contiguous (n1, n2) array of its
+    own. The zero-frequency slice, and the Nyquist slice when n3 is even,
+    are exactly real and are held as real arrays: real factorizations are
+    about twice as fast and attach no unit phases to the factors. The rfft
+    runs block by block of two rows or more, so no full-size complex array
+    is made; a tube's rfft does not depend on its block. With ``out``, a
+    list of (n1, n2) arrays or views, the slices are written there, block
+    by block into the rows that block read: ``out`` may be
+    ``_row_slices(a)``."""
     n1, n2, n3 = a.shape
     nf = n3 // 2 + 1
+    if freqs is None:
+        freqs = range(nf)
     if out is None:
         out = [np.empty((n1, n2), np.float64 if f == 0 or 2 * f == n3 else np.complex128)
-               for f in range(nf)]
+               for f in freqs]
     for s in slabs((n1, n2, 2 * nf), least=2):  # a block's tube holds 2 * nf floats
         block = (np.fft.rfft(a[s], axis=2) if n3 > DFT_MATRIX_MAX_N else
                  (a[s].reshape(-1, n3) @ _dft_matrices(n3)[0]).view(np.complex128))
         block = block.reshape(*a[s].shape[:2], nf)
-        for f, fs in enumerate(out):
+        for f, fs in zip(freqs, out):
             fs[s] = block[:, :, f].real if np.isrealobj(fs) else block[:, :, f]
         del block  # not held while the next one is made
     return out
+
+
+def _row_slices(buffer: np.ndarray) -> list:
+    """Views of the C-contiguous float64 (n1, n2, n3) array ``buffer`` that
+    ``_spectrum`` can fill over it, in order of frequency. Row i of the
+    buffer, n2 * n3 floats, holds row i of every frequency slice: the
+    complex ones first, in order of frequency, so that each complex row
+    starts on a 16-byte multiple when n2 * n3 is even, then the real ones
+    (zero frequency, then Nyquist when n3 is even). Each slice is an
+    (n1, n2) view with a row stride of n2 * n3 floats."""
+    n1, n2, n3 = buffer.shape
+    nr = 2 if n3 % 2 == 0 else 1
+    nc = n3 // 2 + 1 - nr
+    rows = buffer.reshape(n1, n2 * n3)
+    cplx = rows[:, :2 * nc * n2].view(np.complex128).reshape(n1, nc, n2)
+    real = rows[:, 2 * nc * n2:].reshape(n1, nr, n2)
+    return [real[:, 0], *(cplx[:, f] for f in range(nc)), *(real[:, f] for f in range(1, nr))]
 
 
 def row_blocks(shape) -> list:
@@ -218,26 +244,14 @@ def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
     return math.sqrt(squares) if change else out
 
 
-def _stacks(n1: int, n2: int, n3: int, buffer: np.ndarray | None = None) -> tuple[tuple, list]:
+def _stacks(n1: int, n2: int, n3: int) -> tuple[tuple, list]:
     """Empty stacks for the ``n3 // 2 + 1`` (n1, n2) frequency slices of a
     real tensor, the real ones (zero frequency, then Nyquist when n3 is
     even) in one real array and the others, in order of frequency, in one
-    complex array; and the stacks' slices in order of frequency.
-
-    With ``buffer``, a C-contiguous float64 array of n1 * n2 * n3 entries,
-    the stacks are views of it, which they fill exactly: the complex stack
-    first, so that each of its slices starts on a 16-byte multiple, and
-    the real stack after it."""
+    complex array; and the stacks' slices in order of frequency."""
     nr = 2 if n3 % 2 == 0 else 1
-    nc = n3 // 2 + 1 - nr
-    if buffer is None:
-        real = np.empty((nr, n1, n2))
-        cplx = np.empty((nc, n1, n2), np.complex128)
-    else:
-        flat = buffer.reshape(-1)
-        split = 2 * nc * n1 * n2
-        cplx = flat[:split].view(np.complex128).reshape(nc, n1, n2)
-        real = flat[split:].reshape(nr, n1, n2)
+    real = np.empty((nr, n1, n2))
+    cplx = np.empty((n3 // 2 + 1 - nr, n1, n2), np.complex128)
     return (real, cplx), [real[0], *cplx, *real[1:]]
 
 
@@ -288,7 +302,11 @@ def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
 def _slice_svd(m: np.ndarray, full_matrices: bool = False):
     """SVD of the frequency slice ``m``. If LAPACK's gesdd (numpy's driver)
     does not converge, the slice is retried with gesvd, which is slower but
-    converges on slices where gesdd gives up."""
+    converges on slices where gesdd gives up. A view whose strides are not
+    whole items, such as a complex slice of ``_row_slices`` when n2 * n3 is
+    odd, is factored from a contiguous copy: numpy 2.4's SVD misreads it."""
+    if any(stride % m.itemsize for stride in m.strides):
+        m = np.ascontiguousarray(m)
     try:
         return np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
@@ -303,25 +321,31 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[tuple, tuple]:
     ``spectral_product(*tsvd_leading(a, r), n3)`` is u_r * ttranspose(v_r).
     Equal to the full T-SVD's up to the phase of each singular vector pair.
 
-    The slices are factored one after another on the calling thread, in
-    order of frequency. Each slice is dropped once factored, and only the
-    r leading columns of its factors are kept, and stacked after the last,
-    so that at most the spectrum and one slice's two SVD factors are alive
-    at once."""
+    The slices are taken ``n3 // 16`` frequencies at a time, and at least
+    one, each pass a new run of ``_spectrum`` that keeps only its own
+    frequencies (so the rfft runs about 8 times for n3 >= 32, and up to 16
+    below); they are factored one after another on the calling thread, in
+    order of frequency, and each is dropped once factored. Only the r
+    leading columns of its factors are kept. So at most a pass's slices,
+    an eighth of the tensor or one slice, and one slice's two SVD factors
+    are alive at once: 0.49 tensor sizes beside the input on 64x64x32 and
+    r = 4, 2.0 on 256x256x3."""
     a = astensor3(a)
     n1, n2, n3 = a.shape
     kmax = min(n1, n2)
     if not 1 <= r <= kmax:
         raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
-    fa = _spectrum(a)
+    nf, step = n3 // 2 + 1, max(1, n3 // 16)
     fu, fvh = [], []
-    for i in range(len(fa)):
-        u, _, vh = _slice_svd(fa[i])
-        fa[i] = None  # the slice is not needed once factored
-        # copies, so that the full factors are not held until the end
-        fu.append(u[:, :r].copy())
-        fvh.append(vh[:r].copy())
-        del u, vh  # not held through the next slice's SVD
+    for first in range(0, nf, step):
+        fa = _spectrum(a, freqs=range(first, min(first + step, nf)))
+        for i in range(len(fa)):
+            u, _, vh = _slice_svd(fa[i])
+            fa[i] = None  # the slice is not needed once factored
+            # copies, so that the full factors are not held until the end
+            fu.append(u[:, :r].copy())
+            fvh.append(vh[:r].copy())
+            del u, vh  # not held through the next slice's SVD
     u, vh = _stacks(n1, r, n3), _stacks(r, n2, n3)
     for kept, held in zip(u[1] + vh[1], fu + fvh):
         kept[...] = held
@@ -390,13 +414,21 @@ def _gram_svt(m: np.ndarray, tau: float) -> bool:
     return True
 
 
+def _squared_norm(m: np.ndarray) -> float:
+    """||m||_F^2, summed row by row: a strided slice of ``_row_slices`` is
+    not copied, as ``np.vdot`` would copy it, twice. The value does not
+    depend on m's strides."""
+    f = m.view(np.float64) if np.iscomplexobj(m) else m
+    return float(np.einsum("ij,ij->i", f, f).sum())
+
+
 def _shrink(m: np.ndarray, tau: float) -> None:
     """Shrink the singular values of the frequency slice ``m`` by ``tau``
     (floored at zero), in place. When tau > 0 and ||m||_F <= GRAM_COND * tau
     this goes through ``_gram_svt``; otherwise, and whenever ``eigh`` fails,
     through the slice's SVD, whose k triplets above tau are scaled in U's
     own buffer. Besides m, at most two slice-sized matrices are alive."""
-    if tau > 0 and np.vdot(m, m).real <= (GRAM_COND * tau) ** 2 and _gram_svt(m, tau):
+    if tau > 0 and _squared_norm(m) <= (GRAM_COND * tau) ** 2 and _gram_svt(m, tau):
         return
     u, sv, vh = _slice_svd(m)
     k = int(np.count_nonzero(sv > tau))
@@ -429,11 +461,11 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, *, _consume: bool = 
     are the same either way. x is never written, unless it is ``out``.
     """
     # _consume, for the solver, whose argument is dead once the rfft has
-    # read it: each slice is copied into a view of x's buffer (``_stacks``)
-    # and its own array released before any slice is shrunk, so that no
-    # separate spectrum is held beside the slices' temporaries. The values
-    # are the same; x is left holding the shrunk spectrum. x must then be a
-    # writeable C-contiguous float64 array that does not overlap ``out``
+    # read it: each block of rows' rfft is written over the rows it read,
+    # in the layout of ``_row_slices``, and the slices are shrunk there, so
+    # that no separate spectrum is held. The values are the same; x is
+    # left holding the shrunk spectrum. x must then be a writeable
+    # C-contiguous float64 array that does not overlap ``out``
     if _consume and not (isinstance(x, np.ndarray) and x.dtype == np.float64
                          and x.flags.c_contiguous and x.flags.writeable
                          and (out is None or not np.may_share_memory(x, out))):
@@ -444,13 +476,6 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, *, _consume: bool = 
         raise ParameterError(f"tau must be >= 0, got {tau}")
     if out is not None and out.shape != x.shape:
         raise DimensionError(f"out must have shape {x.shape}, got {out.shape}")
-    fx = _spectrum(x)
-    if _consume:
-        # not an rfft straight into x: slice f's rows would land on rows of
-        # x that are not yet read
-        held, fx = fx, _stacks(*x.shape, buffer=x)[1]
-        for f, fs in enumerate(fx):
-            fs[...] = held[f]
-            held[f] = None  # released as soon as it is copied
+    fx = _spectrum(x, out=_row_slices(x) if _consume else None)
     _each_slice(lambda i: _shrink(fx[i], tau), len(fx))
     return _from_spectrum(fx, x.shape[2], out)

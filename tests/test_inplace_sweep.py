@@ -353,13 +353,13 @@ def test_svt_into_out_allocates_no_result(slice_threads, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
-    # 128x128x3 into out: with _consume the slices are moved into x's
-    # buffer before any is shrunk, so the call holds the spectrum beside
-    # one rfft block, then only the temporaries of the slices being shrunk,
-    # then one row block of the inverse FFT's. Measured 1.67 tensor sizes
-    # on one slice thread and 2.17 on two; 2.65 and 2.66-3.17 with the
-    # slices in arrays of their own, the spectrum held beside the shrinking.
-    # On one thread that difference is the spectrum alone
+    # 128x128x3 into out: with _consume each block of rows' rfft is
+    # written over the rows it read, so the call holds one rfft block, then
+    # only the temporaries of the slices being shrunk, then one row block
+    # of the inverse FFT's. Measured 1.65 tensor sizes on one slice thread
+    # and 1.66-2.17 on two, set by the shrinking; 2.65 and 2.66-3.17 with
+    # the slices in arrays of their own, the spectrum held beside the
+    # shrinking. On one thread that difference is the spectrum alone
     slice_threads(threads)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((128, 128, 3))
@@ -368,7 +368,7 @@ def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
     tau = np.quantile(sv, 0.05)
     shrinking = sum(2 * f.nbytes + np.getbufsize() * f.itemsize
                     for f in sorted(slices, key=lambda f: -f.nbytes)[:threads])
-    bound = max(x.nbytes + transforms.SLAB_ENTRIES * 8, shrinking)
+    bound = max(transforms.SLAB_ENTRIES * 8, shrinking)
     out = np.empty_like(x)
     svt(x.copy(), tau, out=out, _consume=True)  # the lazy imports and caches
     spent = x.copy()
@@ -382,18 +382,28 @@ def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_tsvd_leading_factors_one_slice_at_a_time(slice_threads, threads):
     # 128x128x3, r = 8: one real and one complex rfft slice, a third and
-    # two thirds of a tensor size. The slices are factored one after
-    # another, each dropped once factored, so at most the slices not yet
-    # factored and the two SVD factors of the one being factored are alive:
-    # the complex slice with its u and v^H, two tensor sizes. Measured 2.05
-    # on one slice thread and on two; 3.02 on two when the slices were
-    # factored at once, each slice's factors beside the other's
+    # two thirds of a tensor size, taken one per pass. The slices are
+    # factored one after another, each dropped once factored, so at most
+    # one slice and its two SVD factors are alive: the complex slice with
+    # its u and v^H, two tensor sizes. Measured 2.05 on one slice thread
+    # and on two; 3.02 on two when the slices were factored at once, each
+    # slice's factors beside the other's
     slice_threads(threads)
     x = np.random.default_rng(10).standard_normal((128, 128, 3))
-    sizes = [f.nbytes for f in t_algebra._spectrum(x)]
-    bound = max(sum(sizes[i:]) + 2 * sizes[i] for i in range(len(sizes)))
+    bound = 3 * max(f.nbytes for f in t_algebra._spectrum(x))
     tsvd_leading(x, 8)  # the lazy imports and caches
     assert _traced_peak(lambda: tsvd_leading(x, 8))[0] <= bound + 0.1 * x.nbytes
+
+
+def test_tsvd_leading_takes_a_few_frequencies_at_a_time():
+    # 64x64x32, r = 4: 17 slices, one tensor size in all, taken two
+    # frequencies per pass of the rfft, so beside its input the call holds
+    # a pass's slices and one rfft block, or one slice and its SVD factors,
+    # and the factors it returns. Measured 0.49 tensor sizes; 1.25 with the
+    # whole spectrum taken at once
+    x = np.random.default_rng(10).standard_normal((64, 64, 32))
+    tsvd_leading(x, 4)  # the lazy imports and caches
+    assert _traced_peak(lambda: tsvd_leading(x, 4))[0] <= 0.55 * x.nbytes
 
 
 def _solve_peak(g, omega, cfg, warmup_cfg=None):
@@ -406,22 +416,18 @@ def _solve_peak(g, omega, cfg, warmup_cfg=None):
 
 
 def test_solve_peak_memory_in_tensor_sizes(slice_threads):
-    # 48x40x24, r = 3: the allocating sweep peaked at 12.31 tensors, the
-    # in-place sweep at 9.40, with the new x in e's spent buffer at 9.11,
-    # and with the SVT's argument in w's buffer, e's released and the new x
-    # allocated after the slices at 8.31; with the W-update's rank-r term
-    # kept as its factors' spectra, at 7.31, and 7.04 with the outer T-SVD
-    # factors kept as spectra; with four tensors between sweeps and the SVT
-    # writing x over the previous x, at 6.04; with e and w formed a slab at
-    # a time, at 5.86 (numpy 2.4, one slice thread). The bound keeps the
-    # margin of the 64x64x32 guards, half a tensor
+    # 48x40x24, r = 3: four tensors between sweeps, and the SVT's
+    # spectrum written in its argument's own rows. Measured 5.57 tensors
+    # (numpy 2.4, one slice thread); CHANGES.md records how it came down
+    # from the allocating sweep's 12.31. The bound keeps the margin of the
+    # 64x64x32 guards, half a tensor
     slice_threads(1)
     rng = np.random.default_rng(0)
     g = tproduct(rng.random((48, 3, 24)), rng.random((3, 40, 24)))
     g *= 255.0 / g.max()
     omega = rng.random(g.shape) < 0.5
     peak, _ = _solve_peak(g, omega, SolverConfig(r=3, seed=0))
-    assert peak <= 6.5
+    assert peak <= 6.1
 
 
 def _video_instance():
@@ -434,18 +440,13 @@ def _video_instance():
 
 def test_sweep_writes_x_over_the_previous_x(slice_threads):
     # 64x64x32, r = 4, two outer steps of 20 sweeps (numpy 2.4, one slice
-    # thread). A sweep that allocates its new x and idct3's result peaked
-    # at 10.33 tensors; with both written into e's spent buffer, and the
-    # new e into the previous x's, at 9.58; with e's buffer released
-    # before the SVT instead, which allocated the new x after its slices,
-    # at 8.58, and 8.48 with the slices held as contiguous arrays; with
-    # the W-update's rank-r term rebuilt from its factors' spectra, at
-    # 7.39, the outer loop holding a copy of x through step 2. With four
-    # tensors between sweeps (x, the next SVT's argument, y and z), the
-    # SVT writing x over the previous x and no copy of x kept, at 5.44;
-    # 5.39 at lambda = 0, with the E/Z steps skipped. With e formed a slab
-    # at a time and no w tensor, at 5.38 at either lambda: the SVT's rfft
-    # slices beside the four tensors. The bound leaves about half a tensor
+    # thread). Four tensors live between sweeps (x, the next SVT's
+    # argument, y and z); the SVT writes its spectrum over its argument's
+    # rows and x over the previous x, and no sweep holds e or w whole.
+    # Measured 4.63 tensors at lambda 0.01 and 4.61 at 0; 5.38 at either
+    # with the SVT's rfft slices in arrays of their own, and 10.33 with a
+    # sweep that allocated every iterate. The bound leaves about half a
+    # tensor
     slice_threads(1)
     g, omega = _video_instance()
     for lam in (0.01, 0.0):
@@ -453,21 +454,18 @@ def test_sweep_writes_x_over_the_previous_x(slice_threads):
                            seed=0)
         peak, report = _solve_peak(g, omega, cfg, replace(cfg, max_inner=2))
         assert (report.outer_iters, report.inner_iters_total) == (2, 40)
-        assert peak <= 5.95
+        assert peak <= 5.15
 
 
 def test_outer_steps_of_one_sweep_peak_memory(slice_threads):
     # 64x64x32, r = 4, two outer steps of one sweep each, as the benchmark's
     # video workload ends its second step after one sweep. Between the
-    # sweeps the outer step keeps no copy of x, takes its objective's l1
-    # term in dct3's own result, and an in-place DCT holds one slab buffer
-    # at a time. Measured 5.38 tensors at lambda 0.01 and at 0 (numpy 2.4,
-    # one slice thread), 5.44 and 5.39 with a full-size e in the sweep;
-    # 6.44 and 6.39 with five tensors between
-    # sweeps and the outer step's change taken with one temporary; 7.25
-    # with np.where's and np.abs's full-size temporaries and each DCT
-    # slab's buffer held into the next, and 7.57 and 7.75 with the
-    # W-update's rank-r term held whole as well
+    # sweeps the outer step keeps no copy of x, takes its T-SVD two
+    # frequencies at a time and its objective's l1 term from the last
+    # sweep, and an in-place DCT holds one slab buffer at a time. Measured
+    # 4.63 tensors at lambda 0.01 and 4.61 at 0 (numpy 2.4, one slice
+    # thread); 5.38 at either with the whole spectrum taken at step 2 and
+    # the l1 term from a dct3 of x, and 7.75 with full-size temporaries
     slice_threads(1)
     g, omega = _video_instance()
     for lam in (0.01, 0.0):
@@ -475,23 +473,23 @@ def test_outer_steps_of_one_sweep_peak_memory(slice_threads):
                            seed=0)
         peak, report = _solve_peak(g, omega, cfg)
         assert (report.outer_iters, report.inner_iters_total) == (2, 2)
-        assert peak <= 5.95
+        assert peak <= 5.15
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_whole_video_solve_peak_memory(slice_threads, threads):
     # 64x64x32, r = 4, lambda 0.01, run to its stop as the benchmark's video
     # workload: 133 sweeps in two outer steps. Four tensors live between
-    # sweeps, and a sweep adds slab-sized arrays to them, and the SVT its
-    # one tensor size of rfft slices. Measured 5.38 tensors on one slice
-    # thread and on two; 5.44 and 5.52 with a full-size e in each sweep,
-    # and 6.44 on either with five tensors between sweeps
+    # sweeps, and a sweep adds slab-sized arrays to them, the SVT the
+    # temporaries of the slices it shrinks. Measured 4.63 tensors on one
+    # slice thread and on two; 5.38 on either with the SVT's rfft slices
+    # in arrays of their own, and 6.44 with five tensors between sweeps
     slice_threads(threads)
     g, omega = _video_instance()
     cfg = SolverConfig(r=4, lam=0.01, stop_mode="absolute", seed=0)
     peak, report = _solve_peak(g, omega, cfg, replace(cfg, max_outer=1, max_inner=2))
     assert (report.outer_iters, report.inner_iters_total) == (2, 133)
-    assert peak <= 6.0
+    assert peak <= 5.15
 
 
 def test_sweep_outside_the_svt_holds_no_e_or_w(slice_threads, monkeypatch):

@@ -481,9 +481,9 @@ def test_complete_rejects_oversized_rank():
 
 
 def test_complete_hoists_sweep_invariant_work(monkeypatch):
-    # dct3(x) once per sweep, and the W-update's factors and rank-r term
-    # once per outer step: the counts below stay exact whatever the number
-    # of sweeps
+    # dct3(x) once per sweep, the objective's l1 term from the sweeps' own
+    # dct3, and the W-update's factors and rank-r term once per outer step:
+    # the counts below stay exact whatever the number of sweeps
     calls = Counter()
 
     def counted(module, name):
@@ -510,10 +510,11 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         outer, sweeps = report.outer_iters, report.inner_iters_total
         assert sweeps > outer
         # per sweep with lam > 0, and none where lam = 0 skips the E/Z
-        # steps; with lam > 0, one surrogate per outer step and at the end
-        # (its l1 term is zero at lam = 0, and not taken). The residuals
-        # come from the sweep, so no DCT is taken for them
-        assert calls["dct3"] == (sweeps + outer + 1 if lam else 0)
+        # steps; with lam > 0, one more for the objective at outer step 1,
+        # which no sweep has made. Later steps and the end take the l1 term
+        # of the sweep that made x (it is zero at lam = 0, and not taken),
+        # and the residuals come from the sweep, so no DCT is taken for them
+        assert calls["dct3"] == (sweeps + 1 if lam else 0)
         # the cold start's argument, and with lam > 0 one per sweep
         assert calls["idct3"] == (sweeps + 1 if lam else 1)
         # the factors per outer step, and the rank-r term built from them
@@ -546,6 +547,36 @@ def test_surrogate_takes_the_trace_from_the_zero_frequency_slices(monkeypatch, n
     assert abs(solver._surrogate(x, factors, 0.0) - low_rank) <= 1e-12 * abs(low_rank)
     monkeypatch.setattr(solver, "tnn", lambda x: 0.0)
     assert abs(solver._surrogate(x, factors, 0.0) + trace) <= 1e-12 * abs(trace)
+
+
+@_PROPERTY
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), n3=st.integers(1, 6),
+       lam=st.sampled_from([0.0, 0.05]), capped=st.booleans(), seed=st.integers(0, 2**16))
+def test_objective_trace_is_the_surrogate_of_a_fresh_dct3(n1, n2, n3, lam, capped, seed):
+    # every objective_trace entry, at outer step 1, at later steps and at
+    # the end, is _surrogate of that x and those factors with the l1 term
+    # from a fresh dct3(x); with ``capped`` every admm_solve call stops at
+    # max_inner, otherwise on its iterate change
+    g, omega = _low_rank_instance(seed, max(n1, n2), 1, n3, 0.6)
+    g = g[:n1, :n2]
+    omega = omega[:n1, :n2]
+    omega[0, 0, 0] = True
+    cfg = SolverConfig(r=1, lam=lam, mu_init=1e-2, max_outer=3, seed=seed,
+                       **({"max_inner": 4, "eps_outer": 1e-30} if capped else {}))
+    fresh, surrogate = [], solver._surrogate
+
+    def checked(x, factors, lam, l1=None):
+        fresh.append(surrogate(x, factors, lam))
+        return surrogate(x, factors, lam, l1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_surrogate", checked)
+        report = srtd_complete(g, omega, cfg)
+    assert len(report.objective_trace) == len(fresh) == report.outer_iters + 1
+    if capped:
+        assert report.inner_iters_total == 4 * report.outer_iters == 12
+    for got, want in zip(report.objective_trace, fresh):
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @_PROPERTY

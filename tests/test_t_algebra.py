@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srtd
@@ -352,10 +352,12 @@ def test_svt_into_out_returns_the_change_and_writes_no_input(monkeypatch, slice_
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 32])
 def test_svt_consuming_x_is_bitwise_the_allocating_call(monkeypatch, slice_threads,
                                                         threads, n3):
-    # with _consume, the slices are shrunk in views of x's own buffer,
-    # complex slices first: 9x7 slices start on 16-byte multiples although
-    # n1 * n2 is odd. The result, into out in four row blocks or into a new
-    # array, and the change are the default call's bit for bit
+    # with _consume, the slices are shrunk in views of x's own buffer, each
+    # buffer row holding that row of every slice, complex slices first;
+    # with n3 = 1 or 3 a row holds an odd number of floats, so every other
+    # complex row starts off a 16-byte multiple. The result, into out in
+    # four row blocks or into a new array, and the change are the default
+    # call's bit for bit
     slice_threads(threads)
     n1, n2 = 9, 7
     x = _mixed_route_input((n1, n2, n3), n3)
@@ -378,6 +380,42 @@ def test_svt_consuming_x_is_bitwise_the_allocating_call(monkeypatch, slice_threa
         assert np.array_equal(out, whole)
         assert change == want
     assert counts["eigh"] >= 1 and counts["svd"] >= 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@_PROPERTY
+@example(n1=6, n2=9, n3=3, seed=0, frac=0.5)  # a 216-byte row stride, not a 16-byte multiple
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 1.5))
+def test_svt_in_the_row_layout_is_bitwise_the_allocating_call(threads, n1, n2, n3, seed, frac):
+    # the consuming call shrinks strided views of its argument's rows, odd
+    # row strides included: its result and change are the allocating
+    # call's to the bit, through the SVD (tau = 0, and ||A||_F above
+    # GRAM_COND * tau on the largest slice) and through the Gram matrix
+    x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+    old = np.random.default_rng(seed + 1).standard_normal(x.shape)
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(t_algebra, "_slice_threads", lambda: threads)
+        for tau in (0.0, 1e-6 * smax, frac * smax):
+            whole = svt(x.copy(), tau)
+            want = svt(x, tau, out=old.copy())
+            out = old.copy()
+            change = svt(x.copy(), tau, out=out, _consume=True)
+            assert np.array_equal(out, whole) and change == want
+
+
+def test_slice_svd_reads_a_view_with_an_odd_row_stride():
+    # a complex (6, 9) slice of rows 27 floats long, as _row_slices lays
+    # out 6x9x3: its 216-byte row stride is not a whole number of complex
+    # items, which numpy 2.4's SVD misreads
+    rows = np.random.default_rng(5).standard_normal((6, 27))
+    view = rows[:, :18].view(np.complex128)
+    assert view.strides == (216, 16)
+    u, sv, vh = t_algebra._slice_svd(view)
+    want = np.linalg.svd(np.ascontiguousarray(view), full_matrices=False)
+    assert all(np.array_equal(a, b) for a, b in zip((u, sv, vh), want))
+    assert np.allclose((u * sv) @ vh, view, rtol=0, atol=1e-12)
 
 
 def test_svt_consuming_x_refuses_a_buffer_it_cannot_fill():
