@@ -8,25 +8,17 @@ from .errors import (
     ParameterError,
     SrtdError,
 )
-from .tensor_core import Tensor3, fro_norm, l1_norm, ttranspose
+from .tensor_core import Tensor3, fro_norm
 from .transforms import dct3, idct3
-from .t_algebra import svt, tnn, tproduct, trace_pair
+from .t_algebra import svt, tnn
 from .solver import (
     SolveReport,
     SolverConfig,
     SolverState,
     admm_solve,
-    soft_threshold,
     srtd_complete,
 )
-from .evalkit import (
-    ObservationMask,
-    apply_mask,
-    mask_from_image,
-    psnr,
-    random_mask,
-    sampling_rate,
-)
+from .evalkit import ObservationMask, mask_from_image, psnr, random_mask
 from .pnm import load_image, load_video, save_image
 
 __version__ = "0.1.0"
@@ -35,11 +27,9 @@ __all__ = [
     "Tensor3", "ObservationMask",
     "SolverConfig", "SolverState", "SolveReport",
     "SrtdError", "DimensionError", "ParameterError", "FormatError", "DivergenceError",
-    "ttranspose", "fro_norm", "l1_norm",
-    "dct3", "idct3",
-    "tproduct", "tnn", "trace_pair", "svt",
-    "soft_threshold", "admm_solve", "srtd_complete",
-    "random_mask", "mask_from_image", "sampling_rate", "apply_mask", "psnr",
+    "fro_norm", "dct3", "idct3", "tnn", "svt",
+    "admm_solve", "srtd_complete",
+    "random_mask", "mask_from_image", "psnr",
     "load_image", "save_image", "load_video",
     "__version__",
 ]

@@ -54,21 +54,6 @@ def mask_from_image(path, depth: int = 1) -> ObservationMask:
     return np.repeat(observed[:, :, None], depth, axis=2)
 
 
-def sampling_rate(omega: ObservationMask) -> float:
-    """Fraction of entries observed."""
-    omega = np.asarray(omega)
-    return float(np.count_nonzero(omega)) / omega.size
-
-
-def apply_mask(m: Tensor3, omega: ObservationMask) -> Tensor3:
-    """m on the observed set, 0 elsewhere."""
-    m = astensor3(m, "m")
-    omega = np.asarray(omega)
-    if omega.shape != m.shape:
-        raise DimensionError(f"mask shape {omega.shape} does not match tensor shape {m.shape}")
-    return np.where(omega, m, 0.0)
-
-
 def psnr(x_rec: Tensor3, m: Tensor3, omega: ObservationMask | None = None,
          mode: str = "standard") -> float:
     """Peak signal-to-noise ratio against peak 255.

@@ -6,10 +6,11 @@ freeze them, and hand the convex subproblem to the inner loop, warm-started
 from the previous outer iterate (mu is not reset). Inner loop: ADMM sweeps
 X -> E -> Z -> W -> Y -> mu, where E lives in the 3-D DCT domain, W carries
 the observation constraint, Y and Z are the duals for X=W and E=dct3(X),
-and mu grows geometrically up to a cap. All updates are closed-form:
+and mu grows geometrically up to a cap. All updates are closed-form, S
+being the ℓ1 prox, soft thresholding sgn(v)·max(|v|−t, 0):
 
     X = svt( (W - Y/mu + idct3(E + Z/mu)) / 2, 1/(2 mu) )
-    E = soft_threshold( dct3(X) - Z/mu, lambda/mu )
+    E = S( dct3(X) - Z/mu, lambda/mu )
     Z += mu (E - dct3(X))
     W = X + (T + Y)/mu,  then W on the observed set := M
     Y += mu (X - W);  mu = min(rho mu, mu_max)
@@ -147,14 +148,6 @@ class SolveReport:
     seed: int
 
 
-def soft_threshold(x, tau):
-    """sgn(x)·max(|x|−tau, 0), elementwise; the ℓ1 proximal operator.
-
-    Computed as x − clip(x, −tau, tau), which has the same values in fewer
-    passes; only the sign of a zero result can differ."""
-    return x - np.clip(x, -tau, tau)
-
-
 def _pin(w: Tensor3, m: Tensor3, omega) -> None:
     """w[omega] = m[omega], bit for bit, a slab at a time: each slab's
     w ^= (w ^ m) * omega on the values' 64-bit patterns, which is 2-3 times
@@ -183,7 +176,7 @@ def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float,
             l1 += float(np.abs(dx).sum())
         e = z / state.mu
         np.subtract(dx, e, out=e)
-        e -= np.clip(e, -tau, tau)  # soft_threshold, in place
+        e -= np.clip(e, -tau, tau)  # S(e, tau), in place
         np.subtract(e, dx, out=dx)  # the Z-update's difference, in dx's rows
         squares += float(np.vdot(dx, dx))
         dx *= state.mu
@@ -250,23 +243,42 @@ def _check_mask(omega, shape) -> np.ndarray:
     return omega
 
 
+def _check_state(factors: tuple, warm: SolverState | None, shape) -> None:
+    """DimensionError unless ``factors``' stacks, and ``warm``'s four
+    arrays if given, fit a tensor of ``shape``."""
+    n1, n2, n3 = shape
+    nr = 2 if n3 % 2 == 0 else 1
+    (ru, cu), (rv, cv) = factors
+    r = ru.shape[-1]
+    want = [(nr, n1, r), (n3 // 2 + 1 - nr, n1, r), (nr, r, n2), (n3 // 2 + 1 - nr, r, n2)]
+    got = [a.shape for a in (ru, cu, rv, cv)]
+    if got != want:
+        raise DimensionError(f"factor stacks {got} do not fit tensor shape {shape}")
+    if warm is not None:
+        got = [a.shape for a in (warm.x, warm.arg, warm.y, warm.z)]
+        if got != [shape] * 4:
+            raise DimensionError(f"warm state arrays {got} do not match tensor shape {shape}")
+
+
 def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
                warm: SolverState | None = None) -> SolverState:
     """Inner ADMM for the fixed truncated ``factors`` of ``tsvd_leading``.
 
     ``m`` is read only on ``omega``; its other entries may hold anything.
     ``warm`` continues a previous state (duals and mu included) and is
-    returned, with all four of its arrays updated in place; if the call
-    raises, its arrays hold no iterate. Without ``warm``, x = m on
-    omega and 0 elsewhere, y is seeded uniform [0,1), z = 0, and arg is
-    formed from w = x and e = 0. Stops when the iterate change is at most
-    cfg.eps_outer or max_inner is hit. Raises DivergenceError if an
-    iterate goes non-finite. With cfg.lam = 0 and z all zero on entry (a
-    cold start, or any state such a call returns), the E/Z steps are
-    skipped, as the module docstring says.
+    returned, with all four of its arrays updated in place. Without
+    ``warm``, x = m on omega and 0 elsewhere, y is seeded uniform [0,1),
+    z = 0, and arg is formed from w = x and e = 0. Stops when the iterate
+    change is at most cfg.eps_outer or max_inner is hit. Raises
+    DimensionError, before any array is written, if ``factors`` or
+    ``warm`` do not fit m, and DivergenceError if an iterate goes
+    non-finite; after that, warm's arrays hold no iterate. With cfg.lam = 0
+    and z all zero on entry (a cold start, or any state such a call
+    returns), the E/Z steps are skipped, as the module docstring says.
     """
     m = astensor3(m, "m")
     omega = _check_mask(omega, m.shape)
+    _check_state(factors, warm, m.shape)
     if warm is None:
         rng = np.random.default_rng(cfg.seed)
         x = np.where(omega, m, 0.0)
@@ -285,7 +297,7 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
 
     for t in range(1, cfg.max_inner + 1):
         x = state.x
-        delta = svt(state.arg, 1.0 / (2.0 * state.mu), out=x, _consume=True)
+        delta = svt(state.arg, 1.0 / (2.0 * state.mu), out=x)
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite x iterate at inner step {t}",
                                   outer_iter=state.outer_iter, inner_iter=t)

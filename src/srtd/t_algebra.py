@@ -1,5 +1,5 @@
-"""t-product algebra: tensor-tensor product, the leading T-SVD factors, the
-nuclear norm and trace terms of the objective, and the tensor singular
+"""t-product algebra: the tensor-tensor product of two spectra, the leading
+T-SVD factors, the nuclear norm of the objective, and the tensor singular
 value thresholding operator.
 
 Everything is computed in the mode-3 Fourier domain: a t-product is a
@@ -14,28 +14,26 @@ hold the spectrum as one (n1, n2) array per frequency, real for the
 zero-frequency and Nyquist slices, and build and invert it block by block
 of rows, so that no full-size complex array is made; tubes up to
 ``DFT_MATRIX_MAX_N`` long as products with a real DFT matrix, which beats
-numpy's FFT on them, longer ones by the FFT. ``svt`` shrinks each slice in
-its own array, with at most two slice-sized matrices beside it, and can
-write its result over a given array, such as the previous iterate,
-returning how far it moved. For the solver, whose argument is dead once
-read, it writes each block of rows' rfft over the rows it read, in the
-layout of ``_row_slices``: row i of the buffer holds row i of every
-frequency slice, complex slices first, so each slice is a strided view of
-the argument and no separate spectrum is held. A t-product
-(``spectral_product``, on spectra held as one real and one complex stack,
-the layout ``_stacks`` decides) forms each block of rows of every
-frequency's product at once and inverts it, so the product's spectrum is
-never held whole; the blocks can be handed to the caller instead of
-written into a tensor.
+numpy's FFT on them, longer ones by the FFT. ``svt`` writes each block of
+rows' rfft over the rows it read, in the layout of ``_row_slices``: row i
+of the buffer holds row i of every frequency slice, complex slices first,
+so each slice is a strided view and no separate spectrum is held. It
+shrinks each slice there, with at most two slice-sized matrices beside
+it. The buffer is a copy of its argument, or, given an array to write the
+result over, such as the previous iterate, the argument itself, which the
+solver no longer needs; the call then returns how far that array moved.
+A t-product (``spectral_product``, on spectra held as one real and one
+complex stack, the layout ``_stacks`` decides) forms each block of rows of
+every frequency's product at once, inverts it and hands it to the caller,
+so the product's spectrum is never held whole.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
 helper threads that each call starts and joins (``_each_slice``), with
 the CPUs that BLAS leaves free (``_slice_threads``); with no BLAS thread
 count set, on the calling thread alone. Results do not depend on the
-number of slice threads, nor on whether the slices are views of the
-argument's rows. ``tsvd_leading`` takes its slices a few frequencies per
-pass of the rfft, factors them one after another, dropping each once
-factored, and returns the kept factors as stacks that
+number of slice threads. ``tsvd_leading`` takes its slices a few
+frequencies per pass of the rfft, factors them one after another, dropping
+each once factored, and returns the kept factors as stacks that
 ``spectral_product`` multiplies in the Fourier domain.
 """
 
@@ -255,29 +253,14 @@ def _stacks(n1: int, n2: int, n3: int) -> tuple[tuple, list]:
     return (real, cplx), [real[0], *cplx, *real[1:]]
 
 
-def stacked_spectrum(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
-    """``_spectrum`` of ``a``, written into the stacks of ``_stacks``."""
-    stacks, slices = _stacks(*a.shape)
-    _spectrum(a, out=slices)
-    return stacks
-
-
-def spectral_product(fa: tuple, fb: tuple, n3: int, take=None) -> Tensor3 | None:
+def spectral_product(fa: tuple, fb: tuple, n3: int, take) -> None:
     """The t-product of the tensors whose spectra, in ``_stacks``, are
     ``fa`` (n1 by n2) and ``fb`` (n2 by n4), each n3 long: each frequency's
     matrix product, inverted by ``_irfft_rows``, so that the product's
     spectrum is never held whole. A block of rows takes one batched product
     over the complex frequencies and one over the real ones, which multiply
-    in real arithmetic. Returned as a new array; or, with ``take``, each
-    block of rows is handed to ``take(rows, s)`` and None is returned."""
+    in real arithmetic. Each block of rows is handed to ``take(rows, s)``."""
     (ra, ca), (rb, cb) = fa, fb
-    shape = (ra.shape[1], rb.shape[2], n3)
-    out = None
-    if take is None:
-        out = np.empty(shape)
-
-        def take(rows, s):
-            out[s] = rows
 
     def fill(block, s):
         block[:, :, 1:1 + len(ca)] = np.matmul(ca[:, s], cb).transpose(1, 2, 0)
@@ -286,17 +269,7 @@ def spectral_product(fa: tuple, fb: tuple, n3: int, take=None) -> Tensor3 | None
         if len(real) == 2:
             block[:, :, -1] = real[1]
 
-    _irfft_rows(shape, fill, take)
-    return out
-
-
-def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Tensor-tensor product of (n1,n2,n3) by (n2,n4,n3) -> (n1,n4,n3)."""
-    a = astensor3(a, "a")
-    b = astensor3(b, "b")
-    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
-        raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
-    return spectral_product(stacked_spectrum(a), stacked_spectrum(b), a.shape[2])
+    _irfft_rows((ra.shape[1], rb.shape[2], n3), fill, take)
 
 
 def _slice_svd(m: np.ndarray, full_matrices: bool = False):
@@ -318,7 +291,8 @@ def _slice_svd(m: np.ndarray, full_matrices: bool = False):
 def tsvd_leading(a: Tensor3, r: int) -> tuple[tuple, tuple]:
     """The ``r`` leading T-SVD factors of ``a`` as spectra in ``_stacks``:
     each frequency slice's U_f[:, :r] and V_f^H[:r], so that
-    ``spectral_product(*tsvd_leading(a, r), n3)`` is u_r * ttranspose(v_r).
+    ``spectral_product(*tsvd_leading(a, r), n3, take)`` hands ``take`` the
+    rows of u_r * v_r^T, v_r^T being v_r's t-transpose.
     Equal to the full T-SVD's up to the phase of each singular vector pair.
 
     The slices are taken ``n3 // 16`` frequencies at a time, and at least
@@ -357,18 +331,6 @@ def tnn(a: Tensor3) -> float:
     slice (which for a real tensor is just the sum of the frontal slices)."""
     a = astensor3(a)
     return float(np.linalg.svd(a.sum(axis=2), compute_uv=False).sum())
-
-
-def trace_pair(a: Tensor3, b: Tensor3) -> float:
-    """Trace of the t-product a * b, evaluated in the Fourier domain as
-    Re(tr(A(0) B(0))) with the zero-frequency slices."""
-    a = astensor3(a, "a")
-    b = astensor3(b, "b")
-    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
-        raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
-    if b.shape[1] != a.shape[0]:
-        raise DimensionError(f"trace needs square product slices, got {a.shape} by {b.shape}")
-    return float(np.sum(a.sum(axis=2) * b.sum(axis=2).T))
 
 
 def _gram_svt(m: np.ndarray, tau: float) -> bool:
@@ -438,7 +400,7 @@ def _shrink(m: np.ndarray, tau: float) -> None:
     np.matmul(u[:, :k], vh[:k], out=m)
 
 
-def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, *, _consume: bool = False):
+def svt(x: Tensor3, tau: float, out: Tensor3 | None = None):
     """Tensor singular value thresholding: shrink every spectral singular
     value by ``tau`` (floored at zero) and reassemble.
 
@@ -446,36 +408,37 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, *, _consume: bool = 
     running over all n3 slices X_f of the mode-3 DFT of x. That equals
     ``tau * tnn`` only for n3 = 1.
 
-    Each rfft slice is factored once and shrunk in its own array by
+    Each rfft slice is factored once and shrunk where it lies by
     ``_shrink``, through ``eigh`` of its smaller Gram matrix where that is
     exact to about eps * sigma_1 / tau (``GRAM_COND``) and through its SVD
     otherwise. The slices are shrunk by ``_each_slice``; the result does
     not depend on its thread count.
 
-    The result is returned in a new array, allocated only once every slice
-    is shrunk, so that it is not held alongside the slices' temporaries.
-    With ``out``, an array of x's shape, the result overwrites ``out`` one
-    block of rows at a time instead, and the call returns
-    ||result - old out||_F, summed block by block, in place of the result:
-    the iterate change, when out holds the previous iterate. The values
-    are the same either way. x is never written, unless it is ``out``.
+    The slices are shrunk in the layout of ``_row_slices``: each block of
+    rows' rfft is written over the rows it read, so that no separate
+    spectrum is held. Without ``out``, that is done in a copy of x, and the
+    result is returned in a new array, allocated only once every slice is
+    shrunk, so that it is not held alongside the slices' temporaries; x is
+    never written. With ``out``, an array of x's shape, x itself is the
+    workspace, as for the solver, whose argument is dead once read: x must
+    then be a writeable C-contiguous float64 array that does not overlap
+    ``out``, and is left holding the shrunk spectrum. The result overwrites
+    ``out`` one block of rows at a time, and the call returns
+    ||result - old out||_F, summed block by block: the iterate change, when
+    out holds the previous iterate. The values are the same either way.
     """
-    # _consume, for the solver, whose argument is dead once the rfft has
-    # read it: each block of rows' rfft is written over the rows it read,
-    # in the layout of ``_row_slices``, and the slices are shrunk there, so
-    # that no separate spectrum is held. The values are the same; x is
-    # left holding the shrunk spectrum. x must then be a writeable
-    # C-contiguous float64 array that does not overlap ``out``
-    if _consume and not (isinstance(x, np.ndarray) and x.dtype == np.float64
-                         and x.flags.c_contiguous and x.flags.writeable
-                         and (out is None or not np.may_share_memory(x, out))):
-        raise ParameterError("a consumed x must be a writeable C-contiguous float64 "
+    if out is not None and not (isinstance(x, np.ndarray) and x.dtype == np.float64
+                                and x.flags.c_contiguous and x.flags.writeable
+                                and not np.may_share_memory(x, out)):
+        raise ParameterError("with out, x must be a writeable C-contiguous float64 "
                              "array that does not overlap out")
     x = astensor3(x)
-    if tau < 0:
+    if not tau >= 0:  # NaN fails every comparison
         raise ParameterError(f"tau must be >= 0, got {tau}")
-    if out is not None and out.shape != x.shape:
+    if out is None:
+        x = x.copy()  # C-ordered, the workspace
+    elif out.shape != x.shape:
         raise DimensionError(f"out must have shape {x.shape}, got {out.shape}")
-    fx = _spectrum(x, out=_row_slices(x) if _consume else None)
+    fx = _spectrum(x, out=_row_slices(x))
     _each_slice(lambda i: _shrink(fx[i], tau), len(fx))
     return _from_spectrum(fx, x.shape[2], out)

@@ -24,20 +24,6 @@ def astensor3(a, name: str = "tensor") -> Tensor3:
     return out
 
 
-def ttranspose(a: Tensor3) -> Tensor3:
-    """Tensor transpose: transpose each frontal slice, reverse slices 2..n3."""
-    a = astensor3(a)
-    n3 = a.shape[2]
-    order = np.concatenate(([0], np.arange(n3 - 1, 0, -1)))
-    return a.transpose(1, 0, 2)[:, :, order]
-
-
 def fro_norm(a: Tensor3) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64).ravel()))
-
-
-def l1_norm(a: Tensor3) -> float:
-    """Sum of absolute entries."""
-    return float(np.abs(np.asarray(a, dtype=np.float64)).sum())
-

@@ -1,11 +1,14 @@
-"""Reference implementations the tests check srtd against.
+"""Reference implementations the tests check srtd against, and the tools
+they need.
 
 None of these runs on the solve path: the block-circulant route of the
 t-product, the whole-array mode-3 rfft pair as one frequency-major stack,
 the full T-SVD and the norms and bounds built on it, the tensor
 helpers those need, and an ADMM sweep that allocates every iterate anew.
 They are independent routes to the quantities the solver computes, so a
-test can compare the fast path with them.
+test can compare the fast path with them. The t-product of two tensors
+is the one tool here that runs srtd's own kernel, ``spectral_product``,
+on the spectra ``_spectrum`` writes into ``_stacks``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from srtd.errors import DimensionError, DivergenceError, ParameterError
 from srtd.solver import SolverConfig
 from srtd.t_algebra import (
     _slice_svd,
+    _spectrum,
+    _stacks,
     row_blocks,
     spectral_product,
-    stacked_spectrum,
     svt,
     tsvd_leading,
 )
-from srtd.tensor_core import Tensor3, astensor3, fro_norm, ttranspose
+from srtd.tensor_core import Tensor3, astensor3, fro_norm
 from srtd.transforms import dct3, idct3, slabs
 
 _SV_ATOL = 1e-9  # orthonormality slack accepted by trace_bound_check preconditions
@@ -55,6 +59,65 @@ def _slice(fa: np.ndarray, i: int, n3: int) -> np.ndarray:
     slice when n3 is even, are exactly real and are returned as real
     matrices."""
     return fa[i].real if i == 0 or 2 * i == n3 else fa[i]
+
+
+def ttranspose(a: Tensor3) -> Tensor3:
+    """Tensor transpose: transpose each frontal slice, reverse slices 2..n3."""
+    a = astensor3(a)
+    n3 = a.shape[2]
+    order = np.concatenate(([0], np.arange(n3 - 1, 0, -1)))
+    return a.transpose(1, 0, 2)[:, :, order]
+
+
+def stacked_spectrum(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
+    """``_spectrum`` of ``a``, written into the stacks of ``_stacks``: the
+    form ``spectral_product`` takes."""
+    stacks, slices = _stacks(*a.shape)
+    _spectrum(a, out=slices)
+    return stacks
+
+
+def product_of_spectra(fa: tuple, fb: tuple, n3: int) -> Tensor3:
+    """srtd's ``spectral_product`` of the stacked spectra ``fa`` and
+    ``fb``, its blocks of rows gathered into a new array."""
+    out = np.empty((fa[0].shape[1], fb[0].shape[2], n3))
+
+    def take(rows, s):
+        out[s] = rows
+
+    spectral_product(fa, fb, n3, take)
+    return out
+
+
+def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
+    """Tensor-tensor product of (n1,n2,n3) by (n2,n4,n3) -> (n1,n4,n3), by
+    srtd's ``spectral_product``."""
+    a = astensor3(a, "a")
+    b = astensor3(b, "b")
+    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
+        raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
+    return product_of_spectra(stacked_spectrum(a), stacked_spectrum(b), a.shape[2])
+
+
+def trace_pair(a: Tensor3, b: Tensor3) -> float:
+    """Trace of the t-product a * b, evaluated in the Fourier domain as
+    Re(tr(A(0) B(0))) with the zero-frequency slices."""
+    a = astensor3(a, "a")
+    b = astensor3(b, "b")
+    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
+        raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
+    if b.shape[1] != a.shape[0]:
+        raise DimensionError(f"trace needs square product slices, got {a.shape} by {b.shape}")
+    return float(np.sum(a.sum(axis=2) * b.sum(axis=2).T))
+
+
+def soft_threshold(x, tau):
+    """sgn(x)·max(|x|−tau, 0), elementwise; the ℓ1 proximal operator.
+
+    Computed as x − clip(x, −tau, tau), the form ``srtd.solver``'s
+    E-update takes in place, which has the same values in fewer passes;
+    only the sign of a zero result can differ."""
+    return x - np.clip(x, -tau, tau)
 
 
 def unfold(a: Tensor3) -> np.ndarray:
@@ -265,7 +328,7 @@ def _update_x(state: ReferenceState, cfg: SolverConfig) -> Tensor3:
 
 
 def _update_e(state: ReferenceState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
-    return solver.soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
+    return soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
 
 
 def _update_w(state: ReferenceState, cfg: SolverConfig, m: Tensor3, omega,
@@ -289,7 +352,7 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     else:
         state = warm
     state.inner_iter = 0
-    grad = spectral_product(*factors, m.shape[2])
+    grad = product_of_spectra(*factors, m.shape[2])
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x

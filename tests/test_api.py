@@ -6,8 +6,9 @@ import pkgutil
 
 import srtd
 
-# Reference routes that only tests call, and the unused full-spectrum DFT
-# pair with its error class and limit.
+# Reference routes and tools that only tests call, the unused full-spectrum
+# DFT pair with its error class and limit, and the helpers that no srtd
+# code called.
 _NOT_IN_SRTD = (
     "Matrix", "_require_same_dims", "unfold", "fold", "bcirc", "identity_tensor",
     "inner_product", "ttrace",
@@ -15,10 +16,20 @@ _NOT_IN_SRTD = (
     "_SV_ATOL", "truncate_factors",
     "dft_mode3", "idft_mode3", "IMAG_RESIDUE_LIMIT", "SpectralTensor3",
     "SpectralConsistencyError",
+    "tproduct", "stacked_spectrum", "trace_pair", "ttranspose", "l1_norm",
+    "soft_threshold", "sampling_rate", "apply_mask",
 )
+
+_PUBLIC = [
+    "DimensionError", "DivergenceError", "FormatError", "ObservationMask", "ParameterError",
+    "SolveReport", "SolverConfig", "SolverState", "SrtdError", "Tensor3", "__version__",
+    "admm_solve", "dct3", "fro_norm", "idct3", "load_image", "load_video", "mask_from_image",
+    "psnr", "random_mask", "save_image", "srtd_complete", "svt", "tnn",
+]
 
 
 def test_public_api_is_the_solver_surface():
+    assert sorted(srtd.__all__) == _PUBLIC
     for name in srtd.__all__:
         getattr(srtd, name)
     modules = [srtd] + [importlib.import_module(f"srtd.{info.name}")

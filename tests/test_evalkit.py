@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srtd.errors import DimensionError, FormatError, ParameterError
-from srtd.evalkit import apply_mask, mask_from_image, psnr, random_mask, sampling_rate
+from srtd.evalkit import mask_from_image, psnr, random_mask
 from srtd.pnm import save_image
 
 
@@ -56,11 +56,6 @@ def test_random_mask_rejects_bad_dims():
         random_mask((4, 0, 2), 0.5, 0)
 
 
-def test_sampling_rate():
-    omega = random_mask((10, 10, 3), 0.3, 1)
-    assert sampling_rate(omega) == 90 / 300
-
-
 def test_mask_from_image_all_observed(tmp_path):
     path = tmp_path / "clear.pgm"
     save_image(np.zeros((4, 5, 1)), path)
@@ -98,28 +93,6 @@ def test_mask_from_image_rejects_bad_depth(tmp_path):
     save_image(np.zeros((2, 2, 1)), path)
     with pytest.raises(ParameterError):
         mask_from_image(path, depth=0)
-
-
-def test_apply_mask_extremes():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 5, 2))
-    assert np.array_equal(apply_mask(m, np.ones(m.shape, dtype=bool)), m)
-    assert np.array_equal(apply_mask(m, np.zeros(m.shape, dtype=bool)), np.zeros(m.shape))
-
-
-def test_apply_mask_random_and_idempotent():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((5, 4, 3)) + 10.0
-    omega = random_mask(m.shape, 0.5, 1)
-    out = apply_mask(m, omega)
-    assert np.array_equal(out[omega], m[omega])
-    assert np.all(out[~omega] == 0.0)
-    assert np.array_equal(apply_mask(out, omega), out)
-
-
-def test_apply_mask_dim_mismatch():
-    with pytest.raises(DimensionError):
-        apply_mask(np.zeros((3, 3, 2)), np.ones((3, 3, 3), dtype=bool))
 
 
 def test_psnr_identical_inputs_is_infinite():

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from srtd import solver, t_algebra, transforms
 from srtd.solver import SolverConfig, SolverState, admm_solve, srtd_complete
-from srtd.t_algebra import svt, tproduct, tsvd_leading
-from srtd.tensor_core import fro_norm, ttranspose
+from srtd.t_algebra import svt, tsvd_leading
+from srtd.tensor_core import fro_norm
 
 from oracles import (
     ReferenceState,
@@ -26,6 +26,8 @@ from oracles import (
     reference_admm_solve,
     reference_argument,
     reference_complete,
+    tproduct,
+    ttranspose,
     unfold,
 )
 
@@ -309,12 +311,14 @@ def test_a_slice_shrinks_beside_two_slice_sized_matrices(monkeypatch, dims, dtyp
 def test_svt_peak_memory_when_most_values_survive(slice_threads, threads):
     # 128x128x3 at a tau that keeps at least 90% of the spectral singular
     # values, so each slice is rebuilt from nearly all of its eigenpairs.
-    # The rfft slices, one real and one complex, take one tensor size. While
-    # they shrink, each slice thread adds two matrices of its slice's size
-    # and numpy's buffer for a broadcast product; after them, the new x and
-    # one row block of the inverse FFT's temporaries. Measured: 2.66 tensor
-    # sizes on one thread, 3.17-3.19 on two (3.95 and 3.96-5.26 when the
-    # slices were views of one complex stack, each rebuilt into a new array)
+    # The copy of x that holds the rfft slices, one real and one complex,
+    # takes one tensor size. While they shrink, each slice thread adds two
+    # matrices of its slice's size and numpy's buffer for a broadcast
+    # product; after them, the new x and one row block of the inverse FFT's
+    # temporaries. Measured: 2.66 tensor sizes on one thread, 3.17-3.19 on
+    # two, as with the slices in arrays of their own (3.95 and 3.96-5.26
+    # when they were views of one complex stack, each rebuilt into a new
+    # array)
     slice_threads(threads)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((128, 128, 3))
@@ -332,11 +336,12 @@ def test_svt_peak_memory_when_most_values_survive(slice_threads, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_svt_into_out_allocates_no_result(slice_threads, threads):
-    # 64x64x32: 17 small rfft slices, one tensor size in all. Into out, the
-    # SVT holds them, the temporaries of the slices being shrunk and then
-    # one row block of the inverse FFT's, and no new x. Measured 1.26
-    # tensor sizes on one slice thread and 1.32-1.38 on two; 2.26 when
-    # the result is a new array
+    # 64x64x32: 17 small rfft slices, one tensor size in all, written over
+    # the argument's own rows. Into out, the SVT holds one rfft block, the
+    # temporaries of the slices being shrunk and then one row block of the
+    # inverse FFT's, and no new x. Measured 0.26 tensor sizes on one slice
+    # thread and 0.26-0.32 on two; 2.26 when the result is a new array,
+    # shrunk in a copy of x
     slice_threads(threads)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((64, 64, 32))
@@ -345,21 +350,21 @@ def test_svt_into_out_allocates_no_result(slice_threads, threads):
     tau = np.quantile(sv, 0.05)
     shrinking = sum(2 * f.nbytes + np.getbufsize() * f.itemsize
                     for f in sorted(slices, key=lambda f: -f.nbytes)[:threads])
-    bound = sum(f.nbytes for f in slices) + max(shrinking, transforms.SLAB_ENTRIES * 8)
+    bound = max(shrinking, transforms.SLAB_ENTRIES * 8)
     out = np.empty_like(x)
-    svt(x, tau, out=out)  # the lazy imports and caches
-    assert _traced_peak(lambda: svt(x, tau, out=out))[0] <= bound + 0.05 * x.nbytes
+    svt(x.copy(), tau, out=out)  # the lazy imports and caches
+    spent = x.copy()
+    assert _traced_peak(lambda: svt(spent, tau, out=out))[0] <= bound + 0.05 * x.nbytes
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
-    # 128x128x3 into out: with _consume each block of rows' rfft is
-    # written over the rows it read, so the call holds one rfft block, then
-    # only the temporaries of the slices being shrunk, then one row block
-    # of the inverse FFT's. Measured 1.65 tensor sizes on one slice thread
-    # and 1.66-2.17 on two, set by the shrinking; 2.65 and 2.66-3.17 with
-    # the slices in arrays of their own, the spectrum held beside the
-    # shrinking. On one thread that difference is the spectrum alone
+    # 128x128x3 into out: each block of rows' rfft is written over the
+    # rows it read, so the call holds one rfft block, then only the
+    # temporaries of the slices being shrunk, then one row block of the
+    # inverse FFT's. Measured 1.65 tensor sizes on one slice thread and
+    # 1.66-2.17 on two, set by the shrinking; the allocating call holds its
+    # spectrum beside the shrinking, and then beside its new result
     slice_threads(threads)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((128, 128, 3))
@@ -370,12 +375,12 @@ def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
                     for f in sorted(slices, key=lambda f: -f.nbytes)[:threads])
     bound = max(transforms.SLAB_ENTRIES * 8, shrinking)
     out = np.empty_like(x)
-    svt(x.copy(), tau, out=out, _consume=True)  # the lazy imports and caches
+    svt(x.copy(), tau, out=out)  # the lazy imports and caches
     spent = x.copy()
-    peak = _traced_peak(lambda: svt(spent, tau, out=out, _consume=True))[0]
+    peak = _traced_peak(lambda: svt(spent, tau, out=out))[0]
     assert peak <= bound + 0.05 * x.nbytes
     if threads == 1:
-        held = _traced_peak(lambda: svt(x, tau, out=out))[0]
+        held = _traced_peak(lambda: svt(x, tau))[0]
         assert held - peak >= 0.8 * x.nbytes
 
 

@@ -1,7 +1,8 @@
 """t-product algebra: product vs block-circulant oracle, T-SVD invariants,
 tubal rank, nuclear norms, SVT, and the trace inequality used by the solver.
 The T-SVD, tubal rank, truncated norm and trace bound are the oracles in
-``oracles.py``; their tests keep those references honest."""
+``oracles.py``; their tests keep those references honest. The t-product
+tests check srtd's ``spectral_product``, which ``oracles.tproduct`` runs."""
 
 import os
 import subprocess
@@ -20,19 +21,24 @@ from hypothesis import strategies as st
 import srtd
 from srtd import t_algebra, transforms
 from srtd.errors import DimensionError, ParameterError
-from srtd.t_algebra import spectral_product, svt, tnn, tproduct, trace_pair, tsvd_leading
-from srtd.tensor_core import fro_norm, ttranspose
+from srtd.t_algebra import svt, tnn, tsvd_leading
+from srtd.tensor_core import fro_norm
 
 from oracles import (
+    _blocked_norm,
     bcirc,
     fold,
     identity_tensor,
+    product_of_spectra,
     tnn_via_tsvd,
+    tproduct,
     trace_bound_check,
+    trace_pair,
     truncate_factors,
     tsvd,
     ttnn,
     ttrace,
+    ttranspose,
     tubal_rank,
     unfold,
 )
@@ -54,7 +60,7 @@ def _svt_oracle(x, tau):
 def _w_gradient(x, r):
     """The solver's W-gradient: the t-product of the r leading T-SVD
     factors of x, from ``tsvd_leading``'s spectral stacks."""
-    return spectral_product(*tsvd_leading(x, r), x.shape[2])
+    return product_of_spectra(*tsvd_leading(x, r), x.shape[2])
 
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -288,8 +294,11 @@ def test_svt_matrix_hand_oracle():
 
 
 def test_svt_rejects_negative_threshold():
-    with pytest.raises(ParameterError):
-        svt(np.zeros((2, 2, 2)), -0.5)
+    # NaN fails every comparison: it would pass tau < 0, and the SVD route
+    # would keep no singular value
+    for tau in (-0.5, float("nan")):
+        with pytest.raises(ParameterError):
+            svt(np.zeros((2, 2, 2)), tau)
 
 
 @_PROPERTY
@@ -324,8 +333,8 @@ def test_svt_into_out_returns_the_change_and_writes_no_input(monkeypatch, slice_
     # with out, the result overwrites out a block of rows at a time, here
     # four blocks of 2, 2, 2 and 3 rows, and the call returns
     # ||result - old out||_F from the blocks' sums of squares. The result
-    # is the allocating call's bit for bit, x is not written, and out may
-    # be x itself
+    # is the allocating call's bit for bit, and that call does not write x;
+    # the call into out takes a copy of x as its workspace
     slice_threads(threads)
     n1, n2 = 9, 7
     x = _mixed_route_input((n1, n2, n3), n3)
@@ -339,25 +348,25 @@ def test_svt_into_out_returns_the_change_and_writes_no_input(monkeypatch, slice_
         whole = svt(x, tau)
         for before in (old, x):
             out = before.copy()
-            change = svt(out if before is x else x, tau, out=out)
+            change = svt(x.copy(), tau, out=out)
             assert np.array_equal(out, whole)
             want = fro_norm(whole - before)
             assert abs(change - want) <= 1e-12 * want
         assert np.array_equal(x, x_before)
     with pytest.raises(DimensionError):
-        svt(x, 0.5, out=np.empty((n1, n2, n3 + 1)))
+        svt(x.copy(), 0.5, out=np.empty((n1, n2, n3 + 1)))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 32])
 def test_svt_consuming_x_is_bitwise_the_allocating_call(monkeypatch, slice_threads,
                                                         threads, n3):
-    # with _consume, the slices are shrunk in views of x's own buffer, each
+    # into out, the slices are shrunk in views of x's own buffer, each
     # buffer row holding that row of every slice, complex slices first;
     # with n3 = 1 or 3 a row holds an odd number of floats, so every other
     # complex row starts off a 16-byte multiple. The result, into out in
-    # four row blocks or into a new array, and the change are the default
-    # call's bit for bit
+    # four row blocks, is the allocating call's bit for bit, and the change
+    # is the blocks' sums of squares of old out - result, to the bit
     slice_threads(threads)
     n1, n2 = 9, 7
     x = _mixed_route_input((n1, n2, n3), n3)
@@ -369,39 +378,37 @@ def test_svt_consuming_x_is_bitwise_the_allocating_call(monkeypatch, slice_threa
     counts = Counter()
     for tau in (0.0, 1e-2, 0.3 * smax, 2.0 * smax):
         whole = svt(x, tau)
-        want_out = old.copy()
-        want = svt(x, tau, out=want_out)
-        spent = x.copy()
-        assert np.array_equal(svt(spent, tau, _consume=True), whole)
         spent, out = x.copy(), old.copy()
         with pytest.MonkeyPatch.context() as mp:
             _count_calls(mp, counts, "eigh", "svd")
-            change = svt(spent, tau, out=out, _consume=True)
+            change = svt(spent, tau, out=out)
         assert np.array_equal(out, whole)
-        assert change == want
+        assert change == _blocked_norm(old - whole, t_algebra.row_blocks(x.shape))
     assert counts["eigh"] >= 1 and counts["svd"] >= 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @_PROPERTY
 @example(n1=6, n2=9, n3=3, seed=0, frac=0.5)  # a 216-byte row stride, not a 16-byte multiple
+@example(n1=5, n2=1, n3=4, seed=0, frac=0.5)  # one-column slices, whose Gram product is a dot
 @given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 1.5))
 def test_svt_in_the_row_layout_is_bitwise_the_allocating_call(threads, n1, n2, n3, seed, frac):
-    # the consuming call shrinks strided views of its argument's rows, odd
-    # row strides included: its result and change are the allocating
-    # call's to the bit, through the SVD (tau = 0, and ||A||_F above
-    # GRAM_COND * tau on the largest slice) and through the Gram matrix
+    # the call into out shrinks strided views of its argument's rows, odd
+    # row strides included: its result is the allocating call's, and its
+    # change the blocks' sums of squares, to the bit, through the SVD
+    # (tau = 0, and ||A||_F above GRAM_COND * tau on the largest slice) and
+    # through the Gram matrix
     x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
     old = np.random.default_rng(seed + 1).standard_normal(x.shape)
     smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(t_algebra, "_slice_threads", lambda: threads)
         for tau in (0.0, 1e-6 * smax, frac * smax):
-            whole = svt(x.copy(), tau)
-            want = svt(x, tau, out=old.copy())
+            whole = svt(x, tau)
+            want = _blocked_norm(old - whole, t_algebra.row_blocks(x.shape))
             out = old.copy()
-            change = svt(x.copy(), tau, out=out, _consume=True)
+            change = svt(x.copy(), tau, out=out)
             assert np.array_equal(out, whole) and change == want
 
 
@@ -419,17 +426,18 @@ def test_slice_svd_reads_a_view_with_an_odd_row_stride():
 
 
 def test_svt_consuming_x_refuses_a_buffer_it_cannot_fill():
-    # with _consume, x must be a writeable C-contiguous float64 array
-    # that does not overlap out
+    # into out, x must be a writeable C-contiguous float64 array that does
+    # not overlap out; out = x is refused too
     x = np.random.default_rng(3).standard_normal((6, 5, 4))
     before = x.copy()
     read_only = x.copy()
     read_only.flags.writeable = False
-    for bad, out in [(x, x), (x, x.reshape(-1)[::-1].reshape(x.shape)),
-                     (np.asfortranarray(x), None), (x[:, :, ::-1], None),
-                     (x.astype(np.float32), None), (x.tolist(), None), (read_only, None)]:
+    out = np.empty(x.shape)
+    for bad, into in [(x, x), (x, x.reshape(-1)[::-1].reshape(x.shape)),
+                      (np.asfortranarray(x), out), (x[:, :, ::-1], out),
+                      (x.astype(np.float32), out), (x.tolist(), out), (read_only, out)]:
         with pytest.raises(ParameterError):
-            svt(bad, 0.5, out=out, _consume=True)
+            svt(bad, 0.5, out=into)
     assert np.array_equal(x, before)
 
 
@@ -579,7 +587,7 @@ def test_tsvd_leading_gives_the_truncated_tsvd_gradient(n3, n1, n2, seed, data):
     assert fu[1].dtype == fv[1].dtype == np.complex128
     a_k, b_k = truncate_factors(tsvd(x), r)
     reference = tproduct(ttranspose(a_k), b_k)
-    got = spectral_product(fu, fv, n3)
+    got = product_of_spectra(fu, fv, n3)
     assert fro_norm(got - reference) <= 1e-9 * fro_norm(reference)
 
 
