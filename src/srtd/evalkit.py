@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
 from .pnm import load_image
-from .tensor_core import Tensor3, astensor3
+from .tensor_core import Tensor3, astensor3, check_mask
 
 ObservationMask = np.ndarray
 
@@ -61,7 +61,7 @@ def psnr(x_rec: Tensor3, m: Tensor3, omega: ObservationMask | None = None,
     mode="standard": MSE = ||x_rec - m||_F^2 / T over all T entries.
     mode="paper":    MSE = ||(x_rec - m) restricted to the missing set||_F / T
                      (unsquared norm, missing-set numerator, total-count
-                     denominator); requires ``omega``.
+                     denominator); requires ``omega``, a boolean mask.
     Returns math.inf when the measured error is exactly zero.
     """
     x_rec = astensor3(x_rec, "x_rec")
@@ -74,9 +74,7 @@ def psnr(x_rec: Tensor3, m: Tensor3, omega: ObservationMask | None = None,
     elif mode == "paper":
         if omega is None:
             raise ParameterError("mode='paper' needs the observation mask")
-        omega = np.asarray(omega)
-        if omega.shape != m.shape:
-            raise DimensionError(f"mask shape {omega.shape} does not match tensor shape {m.shape}")
+        omega = check_mask(omega, m.shape)
         mse = float(np.linalg.norm((x_rec - m)[~omega])) / total
     else:
         raise ParameterError(f"mode must be 'standard' or 'paper', got {mode!r}")

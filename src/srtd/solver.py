@@ -30,11 +30,11 @@ at a time). So no sweep holds E or W whole, and it sums its residuals
 stops once a step's first sweep changes X by at most eps_outer, that is,
 once a step ran one sweep.
 
-The reported objective's ℓ1 term ‖dct3(X)‖_1 comes from the sweeps: the
-last sweep of an ``admm_solve`` call, known after its SVT (the change is
-at most eps_outer, or max_inner is reached), also sums |dct3(X)| over the
-slabs of its E-update. Only outer step 1, before any sweep, takes a dct3
-of X for it.
+``admm_solve`` sets mu's schedule before each ``_sweep`` and tests the
+sweep's change of X after it; the sweep reads neither rule. Every sweep
+sums |dct3(X)| over its E-update's slabs, and the reported objective's
+ℓ1 term is the last sweep's: only outer step 1, before any sweep, takes
+a dct3 of X for it.
 
 With lambda = 0 and Z = 0 on entry, E = dct3(X) and Z = 0 after every
 sweep, so the E/Z steps are skipped and X stands in for idct3(E + Z/mu).
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
 from .t_algebra import row_blocks, spectral_product, svt, tnn, tsvd_leading
-from .tensor_core import Tensor3, astensor3, fro_norm
+from .tensor_core import Tensor3, astensor3, check_mask, fro_norm
 from .transforms import dct3, idct3, slabs
 
 _STOP_MODES = ("relative", "absolute")
@@ -115,8 +115,8 @@ class SolverState:
     domain. W and E live only inside a sweep. ``first_change`` is the
     last call's first-sweep change of x, as its stop test measures it, and
     ``residuals`` the last sweep's (‖x−w‖_F, ‖e−dct3(x)‖_F). ``l1`` is
-    ‖dct3(x)‖_1 of the x the last call returned, summed slab by slab by its
-    last sweep; NaN where lambda = 0 skipped the E/Z steps."""
+    ‖dct3(x)‖_1 of the last sweep's x, summed slab by slab by its E-update;
+    NaN where lambda = 0 skipped the E/Z steps."""
 
     x: Tensor3
     arg: Tensor3
@@ -124,7 +124,6 @@ class SolverState:
     z: Tensor3
     mu: float
     inner_iter: int = 0
-    outer_iter: int = 0
     first_change: float = math.inf
     residuals: tuple = (math.inf, math.inf)
     l1: float = math.nan
@@ -161,19 +160,17 @@ def _pin(w: Tensor3, m: Tensor3, omega) -> None:
         del flip  # not held while the next slab's is made
 
 
-def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float,
-              last: bool = False) -> float:
+def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float) -> tuple:
     """The E- and Z-updates, a slab at a time, on state.arg holding
     dct3(x): each slab of e is formed beside it, z += mu (e − dct3(x)), and
-    the slab is left holding e + z/mu_next. Returns ‖e − dct3(x)‖_F. On a
-    call's ``last`` sweep, state.l1 takes ‖dct3(x)‖_1 from the slabs, as
-    ``_surrogate`` sums it."""
+    the slab is left holding e + z/mu_next. Returns (‖e − dct3(x)‖_F,
+    ‖dct3(x)‖_1), both summed over the slabs, the latter as ``_surrogate``
+    sums it."""
     tau = cfg.lam / state.mu
     squares = l1 = 0.0
     for s in slabs(state.arg.shape):
         dx, z = state.arg[s], state.z[s]
-        if last:
-            l1 += float(np.abs(dx).sum())
+        l1 += float(np.abs(dx).sum())
         e = z / state.mu
         np.subtract(dx, e, out=e)
         e -= np.clip(e, -tau, tau)  # S(e, tau), in place
@@ -183,9 +180,7 @@ def update_ez(state: SolverState, cfg: SolverConfig, mu_next: float,
         z += dx
         np.add(e, np.divide(z, mu_next, out=dx), out=dx)
         del e  # not held while the next slab's is made
-    if last:
-        state.l1 = l1
-    return math.sqrt(squares)
+    return math.sqrt(squares), l1
 
 
 def update_wy(state: SolverState, m: Tensor3, omega, factors: tuple | None,
@@ -211,8 +206,7 @@ def update_wy(state: SolverState, m: Tensor3, omega, factors: tuple | None,
         _pin(w, m[s], omega[s])
         if factors is not None and not np.isfinite(w).all():
             t = state.inner_iter + 1
-            raise DivergenceError(f"non-finite w iterate at inner step {t}",
-                                  outer_iter=state.outer_iter, inner_iter=t)
+            raise DivergenceError(f"non-finite w iterate at inner step {t}", inner_iter=t)
         step = np.subtract(x[s], w)
         squares += float(np.vdot(step, step))
         step *= mu
@@ -234,15 +228,6 @@ def update_mu(state: SolverState, cfg: SolverConfig) -> float:
     return min(cfg.rho * state.mu, cfg.mu_max)
 
 
-def _check_mask(omega, shape) -> np.ndarray:
-    omega = np.asarray(omega)
-    if omega.dtype != np.bool_:
-        raise ParameterError(f"omega must be a boolean array, got dtype {omega.dtype}")
-    if omega.shape != shape:
-        raise DimensionError(f"omega shape {omega.shape} does not match tensor shape {shape}")
-    return omega
-
-
 def _check_state(factors: tuple, warm: SolverState | None, shape) -> None:
     """DimensionError unless ``factors``' stacks, and ``warm``'s four
     arrays if given, fit a tensor of ``shape``."""
@@ -260,6 +245,28 @@ def _check_state(factors: tuple, warm: SolverState | None, shape) -> None:
             raise DimensionError(f"warm state arrays {got} do not match tensor shape {shape}")
 
 
+def _sweep(state: SolverState, cfg: SolverConfig, m: Tensor3, omega,
+           factors: tuple | None, skip_ez: bool, mu_next: float) -> float:
+    """One sweep X -> E -> Z -> W -> Y in the state's buffers, ending with
+    state.mu = mu_next: the E/Z steps are skipped if ``skip_ez``, and the
+    rank-r term is built from ``factors`` unless they are None. Sets
+    state.residuals and, unless skipped, state.l1. Returns ‖Δx‖_F."""
+    x = state.x
+    delta = svt(state.arg, 1.0 / (2.0 * state.mu), out=x)
+    if not np.isfinite(x).all():
+        t = state.inner_iter + 1
+        raise DivergenceError(f"non-finite x iterate at inner step {t}", inner_iter=t)
+    dct_residual = 0.0
+    if not skip_ez:
+        dct3(x, out=state.arg)
+        dct_residual, state.l1 = update_ez(state, cfg, mu_next)
+        idct3(state.arg, out=state.arg)
+    primal = update_wy(state, m, omega, factors, x if skip_ez else state.arg, mu_next)
+    state.residuals = (primal, dct_residual)
+    state.mu = mu_next
+    return delta
+
+
 def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
                warm: SolverState | None = None) -> SolverState:
     """Inner ADMM for the fixed truncated ``factors`` of ``tsvd_leading``.
@@ -268,16 +275,18 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     ``warm`` continues a previous state (duals and mu included) and is
     returned, with all four of its arrays updated in place. Without
     ``warm``, x = m on omega and 0 elsewhere, y is seeded uniform [0,1),
-    z = 0, and arg is formed from w = x and e = 0. Stops when the iterate
-    change is at most cfg.eps_outer or max_inner is hit. Raises
-    DimensionError, before any array is written, if ``factors`` or
-    ``warm`` do not fit m, and DivergenceError if an iterate goes
-    non-finite; after that, warm's arrays hold no iterate. With cfg.lam = 0
-    and z all zero on entry (a cold start, or any state such a call
-    returns), the E/Z steps are skipped, as the module docstring says.
+    z = 0, and arg is formed from w = x and e = 0. Each sweep is a
+    ``_sweep``, after which the call stops if the iterate change is at most
+    cfg.eps_outer or max_inner is hit; every sweep leaves its residuals and
+    ℓ1 term in the state. Raises DimensionError, before any array is
+    written, if ``factors`` or ``warm`` do not fit m, and DivergenceError,
+    with its inner step and outer_iter = 0, if an iterate goes non-finite;
+    after that, warm's arrays hold no iterate. With cfg.lam = 0 and z all
+    zero on entry (a cold start, or any state such a call returns), the
+    E/Z steps are skipped, as the module docstring says.
     """
     m = astensor3(m, "m")
-    omega = _check_mask(omega, m.shape)
+    omega = check_mask(omega, m.shape)
     _check_state(factors, warm, m.shape)
     if warm is None:
         rng = np.random.default_rng(cfg.seed)
@@ -285,8 +294,7 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
         state = SolverState(x=x, arg=np.zeros(m.shape), y=rng.random(m.shape),
                             z=np.zeros(m.shape), mu=cfg.mu_init)
         # the first argument, from w = x and e = 0, so that idct3(e + z/mu)
-        # is that of zeros; x is m on omega, so y += mu (x - x) leaves y
-        idct3(state.arg, out=state.arg)
+        # is the zeros arg holds; x is m on omega, so y += mu (x - x) leaves y
         update_wy(state, m, omega, None, state.arg, state.mu)
     else:
         state = warm
@@ -296,24 +304,10 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     # in the same order, as their allocating forms
 
     for t in range(1, cfg.max_inner + 1):
-        x = state.x
-        delta = svt(state.arg, 1.0 / (2.0 * state.mu), out=x)
-        if not np.isfinite(x).all():
-            raise DivergenceError(f"non-finite x iterate at inner step {t}",
-                                  outer_iter=state.outer_iter, inner_iter=t)
-        if cfg.stop_mode == "relative":
-            delta /= max(1.0, fro_norm(x))
         mu_next = update_mu(state, cfg)
-        dct_residual = 0.0
-        if not skip_ez:
-            dct3(x, out=state.arg)
-            last = delta <= cfg.eps_outer or t == cfg.max_inner
-            dct_residual = update_ez(state, cfg, mu_next, last)
-            idct3(state.arg, out=state.arg)
-        primal = update_wy(state, m, omega, factors if t == 1 else None,
-                           x if skip_ez else state.arg, mu_next)
-        state.residuals = (primal, dct_residual)
-        state.mu = mu_next
+        delta = _sweep(state, cfg, m, omega, factors if t == 1 else None, skip_ez, mu_next)
+        if cfg.stop_mode == "relative":
+            delta /= max(1.0, fro_norm(state.x))
         state.inner_iter = t
         if t == 1:
             state.first_change = delta
@@ -342,7 +336,7 @@ def check_problem(m: Tensor3, omega, cfg: SolverConfig) -> tuple:
     """``m`` and ``omega`` as ``srtd_complete`` takes them, or the
     ParameterError or DimensionError it would raise on them."""
     m = astensor3(m, "m")
-    omega = _check_mask(omega, m.shape)
+    omega = check_mask(omega, m.shape)
     if not omega.any():
         raise ParameterError("omega has no observed entries")
     if cfg.r > min(m.shape[0], m.shape[1]):
@@ -365,7 +359,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
     m, omega = check_problem(m, omega, cfg)
     start = time.perf_counter()
     x = np.where(omega, m, 0.0)  # step 1 starts from the zero-filled observation
-    state, trace, inner_total, outer_done = None, [], 0, 0
+    state, trace, inner_total = None, [], 0
 
     for k in range(1, cfg.max_outer + 1):
         factors = tsvd_leading(x, cfg.r)
@@ -373,17 +367,13 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
         # sweep that made x
         trace.append(_surrogate(x, factors, cfg.lam, None if state is None else state.l1))
         del x  # step 1's is not held through the solve: its cold start rebuilds it
-        if state is not None:
-            state.outer_iter = k
         try:
             state = admm_solve(m, omega, factors, cfg, warm=state)
         except DivergenceError as err:
             raise DivergenceError(
                 f"solver diverged at outer step {k}, inner step {err.inner_iter}",
                 outer_iter=k, inner_iter=err.inner_iter) from err
-        state.outer_iter = k
         inner_total += state.inner_iter
-        outer_done = k
         x = state.x
         if state.first_change <= cfg.eps_outer:
             break
@@ -392,7 +382,7 @@ def srtd_complete(m: Tensor3, omega, cfg: SolverConfig) -> SolveReport:
     _pin(x, m, omega)  # the state is not returned: x's buffer takes the result
     return SolveReport(
         recovered=x,
-        outer_iters=outer_done,
+        outer_iters=k,
         inner_iters_total=inner_total,
         final_residuals=(*state.residuals, float(state.first_change)),
         objective_trace=tuple(trace),

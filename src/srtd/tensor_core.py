@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 
 # The universal value type; always real.
 Tensor3 = np.ndarray
@@ -22,6 +22,16 @@ def astensor3(a, name: str = "tensor") -> Tensor3:
     if out.ndim != 3:
         raise DimensionError(f"{name} must be a third-order tensor, got shape {out.shape}")
     return out
+
+
+def check_mask(omega, shape) -> np.ndarray:
+    """``omega`` as an array; ParameterError unless boolean, DimensionError unless ``shape``."""
+    omega = np.asarray(omega)
+    if omega.dtype != np.bool_:
+        raise ParameterError(f"omega must be a boolean array, got dtype {omega.dtype}")
+    if omega.shape != shape:
+        raise DimensionError(f"omega shape {omega.shape} does not match tensor shape {shape}")
+    return omega
 
 
 def fro_norm(a: Tensor3) -> float:

@@ -306,7 +306,6 @@ class ReferenceState:
     z: Tensor3
     mu: float
     inner_iter: int = 0
-    outer_iter: int = 0
     first_change: float = math.inf
     residuals: tuple = (math.inf, math.inf)
 
@@ -358,16 +357,14 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
         x_prev = state.x
         state.x = _update_x(state, cfg)
         if not np.isfinite(state.x).all():
-            raise DivergenceError(f"non-finite x iterate at inner step {t}",
-                                  outer_iter=state.outer_iter, inner_iter=t)
+            raise DivergenceError(f"non-finite x iterate at inner step {t}", inner_iter=t)
         dx = dct3(state.x)
         state.e = _update_e(state, cfg, dx)
         dct_gap = state.e - dx
         state.z = state.z + state.mu * dct_gap
         state.w = _update_w(state, cfg, m, omega, grad if t == 1 else None)
         if not np.isfinite(state.w).all():
-            raise DivergenceError(f"non-finite w iterate at inner step {t}",
-                                  outer_iter=state.outer_iter, inner_iter=t)
+            raise DivergenceError(f"non-finite w iterate at inner step {t}", inner_iter=t)
         primal_gap = state.x - state.w
         state.y = state.y + state.mu * primal_gap
         state.residuals = (_blocked_norm(primal_gap, row_blocks(m.shape)),
@@ -396,10 +393,7 @@ def reference_complete(m: Tensor3, omega, cfg: SolverConfig):
     for k in range(1, cfg.max_outer + 1):
         factors = tsvd_leading(x_cur, cfg.r)
         trace.append(solver._surrogate(x_cur, factors, cfg.lam))
-        if state is not None:
-            state.outer_iter = k
         state = reference_admm_solve(m_obs, omega, factors, cfg, warm=state)
-        state.outer_iter = k
         inner_total += state.inner_iter
         outer_done = k
         x_cur = state.x

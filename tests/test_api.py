@@ -1,6 +1,7 @@
 """The public surface: srtd exports what the solver and the CLI run, and
 the test oracles live in ``oracles.py``, not in the package."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -37,3 +38,10 @@ def test_public_api_is_the_solver_surface():
     for module in modules:
         present = [name for name in _NOT_IN_SRTD if hasattr(module, name)]
         assert present == [], f"{module.__name__} still has {present}"
+
+
+def test_solver_state_fields():
+    # a direct admm_solve's state between sweeps: x, the next SVT's
+    # argument, the duals, mu, and what the last call measured
+    assert [f.name for f in dataclasses.fields(srtd.SolverState)] == [
+        "x", "arg", "y", "z", "mu", "inner_iter", "first_change", "residuals", "l1"]

@@ -159,3 +159,16 @@ def test_psnr_dim_mismatch():
     with pytest.raises(DimensionError):
         psnr(np.zeros((3, 3, 2)), np.zeros((3, 3, 2)), np.ones((3, 3, 1), dtype=bool),
              mode="paper")
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+def test_psnr_paper_rejects_a_non_boolean_mask(dtype):
+    # an integer 0/1 mask would index entries 0 and 1 instead of selecting
+    # the missing set, and read a wrong PSNR without a word
+    rng = np.random.default_rng(0)
+    m = rng.random((4, 5, 2)) * 255.0
+    omega = random_mask(m.shape, 0.5, 0)
+    x = m + rng.standard_normal(m.shape)
+    psnr(x, m, omega, mode="paper")
+    with pytest.raises(ParameterError):
+        psnr(x, m, omega.astype(dtype), mode="paper")

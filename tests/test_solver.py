@@ -230,10 +230,13 @@ def test_update_x_matches_primitive_composition():
 
 def _update_ez(state, cfg):
     """update_ez on state.arg = dct3(x); returns e, recovered from the
-    slab it leaves (e + z/mu_next) to round-off, mu_next and the residual."""
+    slab it leaves (e + z/mu_next) to round-off, mu_next and the residual.
+    Checks the ℓ1 norm it sums against that of a fresh dct3(x)."""
     mu_next = update_mu(state, cfg)
     state.arg = dct3(state.x)
-    residual = update_ez(state, cfg, mu_next)
+    l1_want = np.abs(state.arg).sum()
+    residual, l1 = update_ez(state, cfg, mu_next)
+    assert abs(l1 - l1_want) <= 1e-13 * l1_want
     return state.arg - state.z / mu_next, mu_next, residual
 
 
@@ -406,7 +409,8 @@ def test_admm_divergence_reported_with_iteration_index():
         with pytest.raises(DivergenceError) as exc:
             admm_solve(np.where(omega, g, 0.0), omega, factor_spectra(huge, huge),
                        SolverConfig(r=2))
-    assert exc.value.inner_iter >= 1
+    # a direct call knows no outer step; srtd_complete re-raises with its own
+    assert exc.value.inner_iter >= 1 and exc.value.outer_iter == 0
 
 
 def test_admm_mask_validation():
@@ -538,8 +542,9 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
         # of the sweep that made x (it is zero at lam = 0, and not taken),
         # and the residuals come from the sweep, so no DCT is taken for them
         assert calls["dct3"] == (sweeps + 1 if lam else 0)
-        # the cold start's argument, and with lam > 0 one per sweep
-        assert calls["idct3"] == (sweeps + 1 if lam else 1)
+        # one per sweep with lam > 0; the cold start's argument takes the
+        # zeros it is made of for idct3(e + z/mu), e and z being zero
+        assert calls["idct3"] == (sweeps if lam else 0)
         # the factors per outer step, and the rank-r term built from them
         # once per admm_solve call, for its first sweep; the surrogate takes
         # its trace from the zero-frequency slices, so no other t-product is
