@@ -288,14 +288,25 @@ def _write_recovered(recovered, is_video: bool, out_dir: str, name: str) -> str:
     return path
 
 
+def _make_out_dir(spec: ExperimentSpec, outputs) -> None:
+    """Make spec.out, once no two tasks would write the same recovered
+    output: ``outputs`` holds each task's (input path, output name)."""
+    owner = {}
+    for path, name in outputs:
+        if name in owner:
+            raise ParameterError(f"{owner[name]} and {path} would both write {name}_recovered")
+        owner[name] = path
+    os.makedirs(spec.out, exist_ok=True)
+
+
 def _solve_one(spec: ExperimentSpec, path: str, cfg: SolverConfig,
-               m, is_video: bool, omega, mask_id: str, tag: str) -> ReportRow:
+               m, is_video: bool, omega, mask_id: str, name: str) -> ReportRow:
     result = srtd_complete(m, omega, cfg)
     recovered = result.recovered
     # observation constraint must hold bitwise before any quantization
     if not np.array_equal(recovered[omega], m[omega]):
         raise SrtdError(f"recovered output for {path} violates the observation constraint")
-    _write_recovered(recovered, is_video, spec.out, _stem(path) + tag)
+    _write_recovered(recovered, is_video, spec.out, name)
     return ReportRow(
         input=path, mask=mask_id, lam=cfg.lam, rank=cfg.r,
         psnr_standard=psnr(recovered, m, mode="standard"),
@@ -334,23 +345,26 @@ def _execute(tasks, jobs: int, on_row):
 
 def run_complete(spec: ExperimentSpec, on_row=None):
     """One completion per input; writes recovered media, returns report rows.
-    The output directory is made only once every input, mask and rank has
-    been checked."""
-    tasks = []
+    The output directory is made only once every input, mask, rank and
+    output name has been checked."""
+    tasks, outputs = [], []
     for path in spec.inputs:
         m, is_video = _load_input(path)
         omega, mask_id = _build_mask(spec, m.shape)
         check_problem(m, omega, spec.solver)
-        tasks.append(lambda p=path, m=m, v=is_video, o=omega, mid=mask_id:
-                     _solve_one(spec, p, spec.solver, m, v, o, mid, ""))
-    os.makedirs(spec.out, exist_ok=True)
+        name = _stem(path)
+        outputs.append((path, name))
+        tasks.append(lambda p=path, m=m, v=is_video, o=omega, mid=mask_id, n=name:
+                     _solve_one(spec, p, spec.solver, m, v, o, mid, n))
+    _make_out_dir(spec, outputs)
     return _execute(tasks, spec.jobs, on_row)
 
 
 def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
     """One completion per (input, value). For lambda/rank sweeps the mask is
     built once per input so rows are mask-matched; sr sweeps rebuild it.
-    The output directory is made only once every task has been checked."""
+    The output directory is made only once every task and output name has
+    been checked."""
     if axis not in ("lambda", "rank", "sr"):
         raise ParameterError(f"axis must be lambda, rank, or sr, got {axis!r}")
     if not values:
@@ -361,7 +375,7 @@ def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
             if not float(v).is_integer():  # False for nan and inf too
                 raise ParameterError(f"rank values must be integers, got {v}")
 
-    tasks = []
+    tasks, outputs = [], []
     for path in spec.inputs:
         m, is_video = _load_input(path)
         shared = _build_mask(spec, m.shape) if axis != "sr" else None
@@ -377,9 +391,11 @@ def run_sweep(spec: ExperimentSpec, axis: str, values, on_row=None):
                 omega, mask_id = _build_mask(spec, m.shape, sr=float(v))
                 tag = f"_sr{float(v):g}"
             check_problem(m, omega, cfg)
-            tasks.append(lambda p=path, c=cfg, m=m, vid=is_video, o=omega, mid=mask_id, t=tag:
-                         _solve_one(spec, p, c, m, vid, o, mid, t))
-    os.makedirs(spec.out, exist_ok=True)
+            name = _stem(path) + tag
+            outputs.append((path, name))
+            tasks.append(lambda p=path, c=cfg, m=m, vid=is_video, o=omega, mid=mask_id, n=name:
+                         _solve_one(spec, p, c, m, vid, o, mid, n))
+    _make_out_dir(spec, outputs)
     return _execute(tasks, spec.jobs, on_row)
 
 
@@ -508,3 +524,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -229,16 +229,16 @@ def update_mu(state: SolverState, cfg: SolverConfig) -> float:
 
 
 def _check_state(factors: tuple, warm: SolverState | None, shape) -> None:
-    """DimensionError unless ``factors``' stacks, and ``warm``'s four
-    arrays if given, fit a tensor of ``shape``."""
+    """DimensionError unless ``factors``' slices, and ``warm``'s four arrays
+    if given, fit a tensor of ``shape``. Shapes cannot tell n3 = 4 from 5,
+    so each slice must also be real exactly where ``_spectrum``'s are."""
     n1, n2, n3 = shape
-    nr = 2 if n3 % 2 == 0 else 1
-    (ru, cu), (rv, cv) = factors
-    r = ru.shape[-1]
-    want = [(nr, n1, r), (n3 // 2 + 1 - nr, n1, r), (nr, r, n2), (n3 // 2 + 1 - nr, r, n2)]
-    got = [a.shape for a in (ru, cu, rv, cv)]
-    if got != want:
-        raise DimensionError(f"factor stacks {got} do not fit tensor shape {shape}")
+    fu, fvh = factors
+    r = fu[0].shape[-1] if fu else 0
+    for slices, want in ((fu, (n1, r)), (fvh, (r, n2))):
+        got = [(a.shape, np.isrealobj(a)) for a in slices]
+        if got != [(want, f == 0 or 2 * f == n3) for f in range(n3 // 2 + 1)]:
+            raise DimensionError(f"factor slices {got} do not fit tensor shape {shape}")
     if warm is not None:
         got = [a.shape for a in (warm.x, warm.arg, warm.y, warm.z)]
         if got != [shape] * 4:
@@ -318,12 +318,11 @@ def admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
 
 def _surrogate(x, factors, lam, l1: float | None = None) -> float:
     """tnn(x) - tr(U_r^T * x * V_r) + lam ||dct3(x)||_1, ``factors`` being
-    U_r's and V_r^T's spectral stacks. The trace of a t-product reads only
-    its zero-frequency slice, the first of each real stack. ||dct3(x)||_1
+    U_r's and V_r^T's frequency slices. The trace of a t-product reads only
+    its zero-frequency slice, the first of each list. ||dct3(x)||_1
     is ``l1`` if given (a state's, from the sweep that made x), and is
     otherwise summed over the slabs ``update_ez`` takes, in its order."""
-    (fu, _), (fv, _) = factors
-    low_rank = tnn(x) - float(np.sum((fu[0].T @ x.sum(2)) * fv[0]))
+    low_rank = tnn(x) - float(np.sum((factors[0][0].T @ x.sum(2)) * factors[1][0]))
     if lam == 0:
         return low_rank
     if l1 is None:

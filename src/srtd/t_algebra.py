@@ -22,10 +22,9 @@ shrinks each slice there, with at most two slice-sized matrices beside
 it. The buffer is a copy of its argument, or, given an array to write the
 result over, such as the previous iterate, the argument itself, which the
 solver no longer needs; the call then returns how far that array moved.
-A t-product (``spectral_product``, on spectra held as one real and one
-complex stack, the layout ``_stacks`` decides) forms each block of rows of
-every frequency's product at once, inverts it and hands it to the caller,
-so the product's spectrum is never held whole.
+A t-product (``spectral_product``, on two lists of slices laid out as
+``_spectrum``'s) forms each block of rows of every frequency's product,
+inverts it and hands it to the caller, so its spectrum is never held whole.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
 helper threads that each call starts and joins (``_each_slice``), with
@@ -33,8 +32,8 @@ the CPUs that BLAS leaves free (``_slice_threads``); with no BLAS thread
 count set, on the calling thread alone. Results do not depend on the
 number of slice threads. ``tsvd_leading`` takes its slices a few
 frequencies per pass of the rfft, factors them one after another, dropping
-each once factored, and returns the kept factors as stacks that
-``spectral_product`` multiplies in the Fourier domain.
+each once factored, and returns the kept factors as lists of slices
+that ``spectral_product`` multiplies in the Fourier domain.
 """
 
 from __future__ import annotations
@@ -242,34 +241,18 @@ def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
     return math.sqrt(squares) if change else out
 
 
-def _stacks(n1: int, n2: int, n3: int) -> tuple[tuple, list]:
-    """Empty stacks for the ``n3 // 2 + 1`` (n1, n2) frequency slices of a
-    real tensor, the real ones (zero frequency, then Nyquist when n3 is
-    even) in one real array and the others, in order of frequency, in one
-    complex array; and the stacks' slices in order of frequency."""
-    nr = 2 if n3 % 2 == 0 else 1
-    real = np.empty((nr, n1, n2))
-    cplx = np.empty((n3 // 2 + 1 - nr, n1, n2), np.complex128)
-    return (real, cplx), [real[0], *cplx, *real[1:]]
-
-
-def spectral_product(fa: tuple, fb: tuple, n3: int, take) -> None:
-    """The t-product of the tensors whose spectra, in ``_stacks``, are
-    ``fa`` (n1 by n2) and ``fb`` (n2 by n4), each n3 long: each frequency's
-    matrix product, inverted by ``_irfft_rows``, so that the product's
-    spectrum is never held whole. A block of rows takes one batched product
-    over the complex frequencies and one over the real ones, which multiply
-    in real arithmetic. Each block of rows is handed to ``take(rows, s)``."""
-    (ra, ca), (rb, cb) = fa, fb
+def spectral_product(fa: list, fb: list, n3: int, take) -> None:
+    """The t-product of the tensors whose spectra, laid out as
+    ``_spectrum``'s, are ``fa`` (n1 by n2) and ``fb`` (n2 by n4), each n3
+    long: each block of rows of every frequency's matrix product, the real
+    slices' in real arithmetic, inverted by ``_irfft_rows`` and handed to
+    ``take(rows, s)``, so that the product's spectrum is never held whole."""
 
     def fill(block, s):
-        block[:, :, 1:1 + len(ca)] = np.matmul(ca[:, s], cb).transpose(1, 2, 0)
-        real = np.matmul(ra[:, s], rb)
-        block[:, :, 0] = real[0]
-        if len(real) == 2:
-            block[:, :, -1] = real[1]
+        for f, (a, b) in enumerate(zip(fa, fb)):
+            block[:, :, f] = a[s] @ b
 
-    _irfft_rows((ra.shape[1], rb.shape[2], n3), fill, take)
+    _irfft_rows((fa[0].shape[0], fb[0].shape[1], n3), fill, take)
 
 
 def _slice_svd(m: np.ndarray, full_matrices: bool = False):
@@ -288,9 +271,9 @@ def _slice_svd(m: np.ndarray, full_matrices: bool = False):
         return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
-def tsvd_leading(a: Tensor3, r: int) -> tuple[tuple, tuple]:
-    """The ``r`` leading T-SVD factors of ``a`` as spectra in ``_stacks``:
-    each frequency slice's U_f[:, :r] and V_f^H[:r], so that
+def tsvd_leading(a: Tensor3, r: int) -> tuple[list, list]:
+    """The ``r`` leading T-SVD factors of ``a``: the lists of its frequency
+    slices' U_f[:, :r] and V_f^H[:r], laid out as ``_spectrum``'s, so that
     ``spectral_product(*tsvd_leading(a, r), n3, take)`` hands ``take`` the
     rows of u_r * v_r^T, v_r^T being v_r's t-transpose.
     Equal to the full T-SVD's up to the phase of each singular vector pair.
@@ -320,10 +303,7 @@ def tsvd_leading(a: Tensor3, r: int) -> tuple[tuple, tuple]:
             fu.append(u[:, :r].copy())
             fvh.append(vh[:r].copy())
             del u, vh  # not held through the next slice's SVD
-    u, vh = _stacks(n1, r, n3), _stacks(r, n2, n3)
-    for kept, held in zip(u[1] + vh[1], fu + fvh):
-        kept[...] = held
-    return u[0], vh[0]
+    return fu, fvh
 
 
 def tnn(a: Tensor3) -> float:

@@ -8,7 +8,7 @@ helpers those need, and an ADMM sweep that allocates every iterate anew.
 They are independent routes to the quantities the solver computes, so a
 test can compare the fast path with them. The t-product of two tensors
 is the one tool here that runs srtd's own kernel, ``spectral_product``,
-on the spectra ``_spectrum`` writes into ``_stacks``.
+on the frequency slices ``_spectrum`` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from srtd.solver import SolverConfig
 from srtd.t_algebra import (
     _slice_svd,
     _spectrum,
-    _stacks,
     row_blocks,
     spectral_product,
     svt,
@@ -69,18 +68,10 @@ def ttranspose(a: Tensor3) -> Tensor3:
     return a.transpose(1, 0, 2)[:, :, order]
 
 
-def stacked_spectrum(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
-    """``_spectrum`` of ``a``, written into the stacks of ``_stacks``: the
-    form ``spectral_product`` takes."""
-    stacks, slices = _stacks(*a.shape)
-    _spectrum(a, out=slices)
-    return stacks
-
-
 def product_of_spectra(fa: tuple, fb: tuple, n3: int) -> Tensor3:
-    """srtd's ``spectral_product`` of the stacked spectra ``fa`` and
+    """srtd's ``spectral_product`` of the frequency slices ``fa`` and
     ``fb``, its blocks of rows gathered into a new array."""
-    out = np.empty((fa[0].shape[1], fb[0].shape[2], n3))
+    out = np.empty((fa[0].shape[0], fb[0].shape[1], n3))
 
     def take(rows, s):
         out[s] = rows
@@ -96,7 +87,7 @@ def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
     b = astensor3(b, "b")
     if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
-    return product_of_spectra(stacked_spectrum(a), stacked_spectrum(b), a.shape[2])
+    return product_of_spectra(_spectrum(a), _spectrum(b), a.shape[2])
 
 
 def trace_pair(a: Tensor3, b: Tensor3) -> float:
@@ -275,9 +266,9 @@ def truncate_factors(f: TSvdFactors, r: int):
 def factor_spectra(a_k: Tensor3, b_k: Tensor3) -> tuple:
     """The spatial factors a_k (r,n1,n3) and b_k (r,n2,n3) that
     :func:`truncate_factors` gives, in the form ``srtd.solver.admm_solve``
-    takes and ``tsvd_leading`` returns: the stacked spectra of
+    takes and ``tsvd_leading`` returns: the frequency slices of
     ttranspose(a_k) and b_k."""
-    return stacked_spectrum(ttranspose(a_k)), stacked_spectrum(b_k)
+    return _spectrum(ttranspose(a_k)), _spectrum(b_k)
 
 
 # The allocating ADMM sweep: every update builds new arrays and a warm

@@ -77,7 +77,7 @@ def test_01_tproduct_matches_bcirc_oracle():
         n1, n2, n4, n3 = rng.integers(1, 5, size=4)
         a = rng.standard_normal((n1, n2, n3))
         b = rng.standard_normal((n2, n4, n3))
-        c = tproduct(a, b)  # srtd's spectral_product, on _spectrum's stacks
+        c = tproduct(a, b)  # srtd's spectral_product, on _spectrum's slices
         oracle = fold(bcirc(a) @ unfold(b), (n1, n4, n3))
         worst = max(worst, fro_norm(c - oracle) / max(fro_norm(oracle), 1e-12))
     dt = time.perf_counter() - start

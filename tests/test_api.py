@@ -17,7 +17,7 @@ _NOT_IN_SRTD = (
     "_SV_ATOL", "truncate_factors",
     "dft_mode3", "idft_mode3", "IMAG_RESIDUE_LIMIT", "SpectralTensor3",
     "SpectralConsistencyError",
-    "tproduct", "stacked_spectrum", "trace_pair", "ttranspose", "l1_norm",
+    "tproduct", "trace_pair", "ttranspose", "l1_norm",
     "soft_threshold", "sampling_rate", "apply_mask",
 )
 

@@ -99,7 +99,9 @@ def test_bad_argument_exit_codes(tmp_path):
     ["sweep", "--sr", "0.5", "--rank", "2", "--axis", "rank", "--values", "2", "9"],
     ["sweep", "--rank", "2", "--axis", "sr", "--values", "0.5", "1.5"],
     ["sweep", "--rank", "2", "--axis", "lambda", "--values", "0.1"],  # no mask source
-], ids=["sr", "no-mask", "rank", "sweep-rank", "sweep-sr", "sweep-no-mask"])
+    # both solves would write toy_lambda0.1_recovered.pgm
+    ["sweep", "--sr", "0.5", "--rank", "1", "--axis", "lambda", "--values", "0.1", "0.1"],
+], ids=["sr", "no-mask", "rank", "sweep-rank", "sweep-sr", "sweep-no-mask", "sweep-same-tag"])
 def test_a_rejected_run_leaves_no_output_directory(tmp_path, args):
     # the inputs, masks and ranks are checked before the output directory
     # is made, so a run that exits 2 leaves nothing behind
@@ -107,6 +109,22 @@ def test_a_rejected_run_leaves_no_output_directory(tmp_path, args):
     _write_image(img_path, shape=(6, 6, 1))
     out = tmp_path / "o"
     assert cli.main([*args, "--input", str(img_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_inputs_with_one_stem_are_rejected(tmp_path, capsys):
+    # a/x.pgm and b/x.pgm would both be recovered as x_recovered.pgm: the
+    # run exits 2, names both inputs, and makes no output directory
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.pgm")
+        _write_image(paths[-1], shape=(6, 6, 1))
+    out = tmp_path / "o"
+    assert cli.main(["complete", "--input", *map(str, paths), "--sr", "0.5", "--rank", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
     assert not out.exists()
 
 
@@ -442,3 +460,14 @@ def test_serial_runs_load_no_thread_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # python -m srtd.cli runs entry(), as the srtd console script does
+    _write_image(tmp_path / "toy.pgm", shape=(6, 6, 1))
+    env = dict(os.environ, PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-m", "srtd.cli", "complete", "--input", "toy.pgm",
+                    "--sr", "0.5", "--rank", "1", "--out", "o"],
+                   cwd=tmp_path, env=env, capture_output=True, check=True, timeout=60)
+    assert (tmp_path / "o" / "toy_recovered.pgm").is_file()
+    assert (tmp_path / "o" / "report.csv").read_text().splitlines()[0] == "# srtd-report-v1"

@@ -424,8 +424,9 @@ def test_admm_mask_validation():
 
 def test_admm_checks_warm_and_factors_against_m():
     # an (8, 8, 4) state or its factors with an (8, 8, 5) m: both have
-    # three frequencies, but n3 = 4 has two real ones. The call raises
-    # before it writes any of the warm state's arrays
+    # three frequency slices of the same shapes, but n3 = 4 has two real
+    # ones, so only the slices' realness tells the factors apart. The call
+    # raises before it writes any of the warm state's arrays
     g, omega = _low_rank_instance(24, 8, 2, 4, 0.6)
     m_obs = np.where(omega, g, 0.0)
     cfg = SolverConfig(r=2, max_inner=2, seed=24)
@@ -434,12 +435,16 @@ def test_admm_checks_warm_and_factors_against_m():
     before = [a.copy() for a in (state.x, state.arg, state.y, state.z)]
     wide = np.zeros((8, 8, 5))
     omega5 = np.ones(wide.shape, bool)
-    # the last case hands over V^H's stacks where U's belong, and U's for V^H's
+    # then V^H's slices where U's belong, and U's for V^H's; then lists
+    # one slice short
+    fu, fvh = factors
     for m, om, f, warm in [(wide, omega5, factors, state),
                            (wide, omega5, tsvd_leading(wide, 2), state),
                            (wide, omega5, factors, None),
                            (m_obs, omega, tsvd_leading(m_obs[:7], 2), state),
-                           (m_obs, omega, tsvd_leading(m_obs, 1)[::-1], state)]:
+                           (m_obs, omega, tsvd_leading(m_obs, 1)[::-1], state),
+                           (m_obs, omega, (fu[:-1], fvh), state),
+                           (m_obs, omega, (fu[:-1], fvh[:-1]), None)]:
         with pytest.raises(DimensionError):
             admm_solve(m, om, f, cfg, warm=warm)
         after = (state.x, state.arg, state.y, state.z)
@@ -556,7 +561,7 @@ def test_complete_hoists_sweep_invariant_work(monkeypatch):
 @pytest.mark.parametrize("n3", [1, 2, 3, 5, 6])
 def test_surrogate_takes_the_trace_from_the_zero_frequency_slices(monkeypatch, n3):
     # tr(a_k * x * b_k^T), read from the zero-frequency slices of the
-    # factors' stacks alone, is the trace of the full t-product of the
+    # factors' slices alone, is the trace of the full t-product of the
     # oracle's factors; at lam = 0 the objective is its low-rank term
     # alone, and no dct3 is taken
     rng = np.random.default_rng(n3)

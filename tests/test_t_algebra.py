@@ -59,7 +59,7 @@ def _svt_oracle(x, tau):
 
 def _w_gradient(x, r):
     """The solver's W-gradient: the t-product of the r leading T-SVD
-    factors of x, from ``tsvd_leading``'s spectral stacks."""
+    factors of x, from ``tsvd_leading``'s frequency slices."""
     return product_of_spectra(*tsvd_leading(x, r), x.shape[2])
 
 
@@ -573,18 +573,17 @@ def test_trace_bound_shape_errors():
 def test_tsvd_leading_gives_the_truncated_tsvd_gradient(n3, n1, n2, seed, data):
     # the W-gradient does not depend on the phase of the singular vectors,
     # so it must agree with the full T-SVD route to rounding. The factors
-    # are stacks of U_f[:, :r] and V_f^H[:r], the zero-frequency slice and,
-    # for even n3, the Nyquist slice in the real stack; n3 = 6 has both
-    # real slices and two complex ones
+    # are lists of U_f[:, :r] and V_f^H[:r], one per frequency, laid out as
+    # _spectrum's: real exactly at the zero frequency and, for even n3, the
+    # Nyquist; n3 = 6 has both real slices and two complex ones
     r = data.draw(st.integers(1, min(n1, n2)), label="r")
     x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
     fu, fv = tsvd_leading(x, r)
-    nr = 2 if n3 % 2 == 0 else 1
-    nc = n3 // 2 + 1 - nr
-    assert fu[0].shape == (nr, n1, r) and fu[1].shape == (nc, n1, r)
-    assert fv[0].shape == (nr, r, n2) and fv[1].shape == (nc, r, n2)
-    assert fu[0].dtype == fv[0].dtype == np.float64
-    assert fu[1].dtype == fv[1].dtype == np.complex128
+    assert len(fu) == len(fv) == n3 // 2 + 1
+    for f, (u, vh) in enumerate(zip(fu, fv)):
+        dtype = np.float64 if f == 0 or 2 * f == n3 else np.complex128
+        assert u.dtype == vh.dtype == dtype
+        assert u.shape == (n1, r) and vh.shape == (r, n2)
     a_k, b_k = truncate_factors(tsvd(x), r)
     reference = tproduct(ttranspose(a_k), b_k)
     got = product_of_spectra(fu, fv, n3)
@@ -707,15 +706,17 @@ def test_pooled_slices_are_bitwise_serial(slice_threads, workers, n1, n2, n3):
     taus = (0.0, 1e-2, 0.3 * smax, 2.0 * smax)
 
     def run():
-        (ru, cu), (rv, cv) = tsvd_leading(x, 2)
-        return [svt(x, tau) for tau in taus] + [ru, cu, rv, cv]
+        fu, fvh = tsvd_leading(x, 2)
+        return [svt(x, tau) for tau in taus] + fu + fvh
 
     slice_threads(1)
     serial = run()
     slice_threads(workers + 1)
     for _ in range(3):
-        for got, want in zip(run(), serial):
-            assert np.array_equal(got, want)
+        got = run()
+        assert len(got) == len(serial) == len(taus) + 2 * (n3 // 2 + 1)
+        for have, want in zip(got, serial):
+            assert np.array_equal(have, want)
 
 
 def test_tsvd_leading_starts_no_slice_thread(slice_threads, monkeypatch):
