@@ -10,7 +10,7 @@ from .errors import (
 )
 from .tensor_core import Tensor3, fro_norm
 from .transforms import dct3, idct3
-from .t_algebra import svt, tnn
+from .t_algebra import svt
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -27,7 +27,7 @@ __all__ = [
     "Tensor3", "ObservationMask",
     "SolverConfig", "SolverState", "SolveReport",
     "SrtdError", "DimensionError", "ParameterError", "FormatError", "DivergenceError",
-    "fro_norm", "dct3", "idct3", "tnn", "svt",
+    "fro_norm", "dct3", "idct3", "svt",
     "admm_solve", "srtd_complete",
     "random_mask", "mask_from_image", "psnr",
     "load_image", "save_image", "load_video",

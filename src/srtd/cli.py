@@ -37,13 +37,13 @@ REPORT_COLUMNS = ("input", "mask", "lambda", "rank", "psnr_standard", "psnr_pape
 DEFAULTS = {
     "input": None, "ref": None, "mask_file": None, "sr": None, "seed": 0,
     "lam": 0.05, "rank": None, "rho": 1.1, "mu_init": 1e-4, "mu_max": 1e10,
-    "eps": 1e-3, "max_outer": 50, "max_inner": 200, "stop_mode": "relative",
+    "eps": 1e-3, "max_inner": 200, "stop_mode": "relative",
     "psnr_mode": "standard", "out": "srtd_out", "report": None, "jobs": 1,
     "axis": None, "values": None,
 }
 
 _FLOAT_KEYS = ("sr", "lam", "rho", "mu_init", "mu_max", "eps")
-_INT_KEYS = ("seed", "rank", "max_outer", "max_inner", "jobs")
+_INT_KEYS = ("seed", "rank", "max_inner", "jobs")
 _PATH_KEYS = ("ref", "mask_file", "out", "report")
 _PSNR_MODES = ("standard", "paper", "both")
 _GLOB_CHARS = "*?["
@@ -95,17 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="mask + solver seed (default 0)")
         sp.add_argument("--lambda", dest="lam", type=float,
                         help="DCT-sparsity weight (default 0.05; 0 disables the term)")
-        sp.add_argument("--rank", type=int, help="truncation rank r (required)")
+        sp.add_argument("--rank", type=int,
+                        help="truncation rank r (required; 0 is the tensor nuclear norm)")
         sp.add_argument("--rho", type=float, help="penalty growth factor (default 1.1)")
         sp.add_argument("--mu-init", dest="mu_init", type=float,
                         help="initial penalty (default 1e-4)")
         sp.add_argument("--mu-max", dest="mu_max", type=float,
                         help="penalty cap (default 1e10)")
         sp.add_argument("--eps", type=float, help="stop tolerance (default 1e-3)")
-        sp.add_argument("--max-outer", dest="max_outer", type=int,
-                        help="outer iteration cap (default 50)")
         sp.add_argument("--max-inner", dest="max_inner", type=int,
-                        help="inner iteration cap (default 200)")
+                        help="cap on the solve's ADMM sweeps (default 200)")
         sp.add_argument("--stop-mode", dest="stop_mode", choices=("relative", "absolute"),
                         help="iterate-change test scaling (default relative)")
         sp.add_argument("--psnr-mode", dest="psnr_mode",
@@ -206,8 +205,7 @@ def _solver_config(merged: dict) -> SolverConfig:
     return SolverConfig(
         r=merged["rank"], lam=merged["lam"], rho=merged["rho"],
         mu_init=merged["mu_init"], mu_max=merged["mu_max"],
-        eps_outer=merged["eps"], max_outer=merged["max_outer"],
-        max_inner=merged["max_inner"], stop_mode=merged["stop_mode"],
+        eps_outer=merged["eps"], max_inner=merged["max_inner"], stop_mode=merged["stop_mode"],
         seed=merged["seed"])
 
 
@@ -441,7 +439,7 @@ def _print_row(row: ReportRow, mode: str) -> None:
     else:
         shown = f"psnr_standard={_fmt(row.psnr_standard)}"
     print(f"{row.input} [{row.mask}] lambda={row.lam:g} rank={row.rank}: {shown} dB "
-          f"({row.outer_iters} outer / {row.inner_iters} inner, {row.wall_time:.2f}s)")
+          f"({row.inner_iters} sweeps, {row.wall_time:.2f}s)")
 
 
 def _cmd_solve(merged: dict, axis=None, values=None) -> int:

@@ -20,7 +20,6 @@ class FormatError(SrtdError, ValueError):
 class DivergenceError(SrtdError, RuntimeError):
     """The solver produced a non-finite iterate."""
 
-    def __init__(self, message: str, outer_iter: int = 0, inner_iter: int = 0):
+    def __init__(self, message: str, inner_iter: int = 0):
         super().__init__(message)
-        self.outer_iter = outer_iter
         self.inner_iter = inner_iter

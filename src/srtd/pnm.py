@@ -2,7 +2,8 @@
 
 Parse errors name the byte offset where the problem sits, so a bad file can
 be inspected with a hex dump. Pixel values are returned as float64 in
-[0, 255]; writing clamps to [0, 255] and rounds half away from zero.
+[0, 255], a file's maxval below 255 scaled up to 255; writing clamps to
+[0, 255] and rounds half away from zero.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ def _read_int(buf: bytes, pos: int, what: str):
 
 
 def load_image(path) -> Tensor3:
-    """Read a binary graymap or pixmap; gray gives (h, w, 1), color (h, w, 3)."""
+    """Read a binary graymap or pixmap; gray gives (h, w, 1), color (h, w, 3).
+    Samples are scaled by 255/maxval, so that maxval reads as 255, the peak
+    the solver, PSNR and ``save_image`` assume; zero stays zero."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] == b"P5":
@@ -69,6 +72,8 @@ def load_image(path) -> Tensor3:
         raise FormatError(
             f"{path}: raster truncated, expected {need} bytes from byte {pos}, found {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
+    if maxval < 255:
+        pixels = pixels * 255.0 / maxval  # one rounding per sample: maxval reads as 255.0
     return pixels.reshape(height, width, channels)
 
 
@@ -87,13 +92,15 @@ def save_image(t: Tensor3, path) -> None:
 
 
 def load_video(dir_or_glob) -> Tensor3:
-    """Stack same-sized P5 frames along mode 3, lexicographic filename order."""
+    """Stack same-sized P5 frames along mode 3, lexicographic filename order.
+    Only files are frames: a directory's or a glob's subdirectories are
+    skipped."""
     dir_or_glob = os.fspath(dir_or_glob)
     if os.path.isdir(dir_or_glob):
         names = [os.path.join(dir_or_glob, n) for n in sorted(os.listdir(dir_or_glob))]
-        names = [n for n in names if os.path.isfile(n)]
     else:
         names = sorted(glob.glob(dir_or_glob))
+    names = [n for n in names if os.path.isfile(n)]
     if not names:
         raise FormatError(f"no frames found at {dir_or_glob}")
     frames = []

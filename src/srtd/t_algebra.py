@@ -1,18 +1,17 @@
-"""t-product algebra: the tensor-tensor product of two spectra, the leading
-T-SVD factors, the nuclear norm of the objective, and the tensor singular
-value thresholding operator.
+"""t-product algebra: the tensor singular value thresholding operator, with
+a partial form that leaves each frequency slice's leading singular values
+unshrunk, and the mode-3 DFT pair it runs on.
 
-Everything is computed in the mode-3 Fourier domain: a t-product is a
-matrix product per frequency slice, and the T-SVD is an SVD per frequency
-slice (complex, except on the slices that are exactly real). The SVT
-shrinks a slice through the eigendecomposition of its smaller Gram matrix
-when that is exact to rounding (``GRAM_COND``), and through the slice's
-SVD otherwise. Real input has a conjugate-symmetric spectrum, so only the
-first ``n3 // 2 + 1`` slices are ever touched: ``_spectrum`` and
-``_irfft_rows`` (rfft/irfft) are the library's only mode-3 DFT pair. They
-hold the spectrum as one (n1, n2) array per frequency, real for the
-zero-frequency and Nyquist slices, and build and invert it block by block
-of rows, so that no full-size complex array is made; tubes up to
+Everything is computed in the mode-3 Fourier domain, where the SVT is an
+SVT per frequency slice (complex, except on the slices that are exactly
+real). It shrinks a slice through the eigendecomposition of its smaller
+Gram matrix when that is exact to rounding (``GRAM_COND``), and through
+the slice's SVD otherwise. Real input has a conjugate-symmetric spectrum,
+so only the first ``n3 // 2 + 1`` slices are ever touched: ``_spectrum``
+and ``_from_spectrum`` (rfft/irfft) are the library's only mode-3 DFT
+pair. They hold the spectrum as one (n1, n2) array per frequency, real
+for the zero-frequency and Nyquist slices, and build and invert it block
+by block of rows, so that no full-size complex array is made; tubes up to
 ``DFT_MATRIX_MAX_N`` long as products with a real DFT matrix, which beats
 numpy's FFT on them, longer ones by the FFT. ``svt`` writes each block of
 rows' rfft over the rows it read, in the layout of ``_row_slices``: row i
@@ -22,18 +21,12 @@ shrinks each slice there, with at most two slice-sized matrices beside
 it. The buffer is a copy of its argument, or, given an array to write the
 result over, such as the previous iterate, the argument itself, which the
 solver no longer needs; the call then returns how far that array moved.
-A t-product (``spectral_product``, on two lists of slices laid out as
-``_spectrum``'s) forms each block of rows of every frequency's product,
-inverts it and hands it to the caller, so its spectrum is never held whole.
 
 ``svt`` shrinks its slices independently, on the calling thread and on
 helper threads that each call starts and joins (``_each_slice``), with
 the CPUs that BLAS leaves free (``_slice_threads``); with no BLAS thread
 count set, on the calling thread alone. Results do not depend on the
-number of slice threads. ``tsvd_leading`` takes its slices a few
-frequencies per pass of the rfft, factors them one after another, dropping
-each once factored, and returns the kept factors as lists of slices
-that ``spectral_product`` multiplies in the Fourier domain.
+number of slice threads.
 """
 
 from __future__ import annotations
@@ -144,29 +137,26 @@ def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
-def _spectrum(a: Tensor3, out: list | None = None, freqs: range | None = None) -> list:
+def _spectrum(a: Tensor3, out: list | None = None) -> list:
     """The rfft of ``a`` along mode 3 as its ``n3 // 2 + 1`` frequency
-    slices, or those of ``freqs``, each a contiguous (n1, n2) array of its
-    own. The zero-frequency slice, and the Nyquist slice when n3 is even,
-    are exactly real and are held as real arrays: real factorizations are
-    about twice as fast and attach no unit phases to the factors. The rfft
-    runs block by block of two rows or more, so no full-size complex array
-    is made; a tube's rfft does not depend on its block. With ``out``, a
-    list of (n1, n2) arrays or views, the slices are written there, block
-    by block into the rows that block read: ``out`` may be
-    ``_row_slices(a)``."""
+    slices, each a contiguous (n1, n2) array of its own. The zero-frequency
+    slice, and the Nyquist slice when n3 is even, are exactly real and are
+    held as real arrays: real factorizations are about twice as fast and
+    attach no unit phases to the factors. The rfft runs block by block of
+    two rows or more, so no full-size complex array is made; a tube's rfft
+    does not depend on its block. With ``out``, a list of (n1, n2) arrays
+    or views, the slices are written there, block by block into the rows
+    that block read: ``out`` may be ``_row_slices(a)``."""
     n1, n2, n3 = a.shape
     nf = n3 // 2 + 1
-    if freqs is None:
-        freqs = range(nf)
     if out is None:
         out = [np.empty((n1, n2), np.float64 if f == 0 or 2 * f == n3 else np.complex128)
-               for f in freqs]
+               for f in range(nf)]
     for s in slabs((n1, n2, 2 * nf), least=2):  # a block's tube holds 2 * nf floats
         block = (np.fft.rfft(a[s], axis=2) if n3 > DFT_MATRIX_MAX_N else
                  (a[s].reshape(-1, n3) @ _dft_matrices(n3)[0]).view(np.complex128))
         block = block.reshape(*a[s].shape[:2], nf)
-        for f, fs in zip(freqs, out):
+        for f, fs in enumerate(out):
             fs[s] = block[:, :, f].real if np.isrealobj(fs) else block[:, :, f]
         del block  # not held while the next one is made
     return out
@@ -190,69 +180,39 @@ def _row_slices(buffer: np.ndarray) -> list:
 
 
 def row_blocks(shape) -> list:
-    """The blocks of rows ``_irfft_rows`` inverts for a tensor of ``shape``;
-    two rows or more each where it has them, as numpy hands a one-row
-    product to gemv, which sums in another order than gemm."""
+    """The blocks of rows ``_from_spectrum`` inverts for a tensor of
+    ``shape``; two rows or more each where it has them, as numpy hands a
+    one-row product to gemv, which sums in another order than gemm."""
     n1, n2, n3 = shape
     return slabs((n1, n2, 2 * (n3 // 2 + 1) + n3), least=2)
 
 
-def _irfft_rows(shape, fill, take) -> None:
-    """irfft along mode 3 of a tensor of ``shape``, block by block of
-    ``row_blocks``, so that no full-size complex array is made:
-    ``fill(block, s)`` writes the ``n3 // 2 + 1`` frequencies of rows ``s``
-    along the last axis of the complex ``block``, and ``take(rows, s)``
-    receives their irfft, a new array, the same in any block."""
-    n1, n2, n3 = shape
+def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
+    """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
+    ``_spectrum``), block by block of ``row_blocks``, so that no full-size
+    complex array is made: into a new array, which is returned, or into
+    ``out``, returning ||new out - old out||_F summed by blocks. A block's
+    irfft is the same in any block."""
+    change = out is not None
+    if out is None:
+        out = np.empty((*spectrum[0].shape, n3))
     nf = n3 // 2 + 1
-    for s in row_blocks(shape):
-        block = np.empty((len(range(n1)[s]), n2, nf), np.complex128)
-        fill(block, s)
+    squares = 0.0
+    for s in row_blocks(out.shape):
+        block = np.empty((len(range(out.shape[0])[s]), out.shape[1], nf), np.complex128)
+        for f, fs in enumerate(spectrum):
+            block[:, :, f] = fs[s]
         rows = (np.fft.irfft(block, n=n3, axis=2) if n3 > DFT_MATRIX_MAX_N else
                 (block.view(np.float64).reshape(-1, 2 * nf) @ _dft_matrices(n3)[1]))
         rows = rows.reshape(block.shape[:2] + (n3,))
         del block
-        take(rows, s)
-        del rows  # not held while the next block is made
-
-
-def _from_spectrum(spectrum: list, n3: int, out: Tensor3 | None = None):
-    """irfft along mode 3 of the frequency slices ``spectrum`` (as made by
-    ``_spectrum``), by ``_irfft_rows``: into a new array, which is returned,
-    or into ``out``, returning ||new out - old out||_F summed by blocks."""
-    change = out is not None
-    if out is None:
-        out = np.empty((*spectrum[0].shape, n3))
-    squares = 0.0
-
-    def fill(block, s):
-        for f, fs in enumerate(spectrum):
-            block[:, :, f] = fs[s]
-
-    def take(rows, s):
-        nonlocal squares
         if change:
             old = out[s]
             old -= rows  # old - new: the change's negation, in out's own rows
             squares += float(np.vdot(old, old))
         out[s] = rows
-
-    _irfft_rows(out.shape, fill, take)
+        del rows  # not held while the next block is made
     return math.sqrt(squares) if change else out
-
-
-def spectral_product(fa: list, fb: list, n3: int, take) -> None:
-    """The t-product of the tensors whose spectra, laid out as
-    ``_spectrum``'s, are ``fa`` (n1 by n2) and ``fb`` (n2 by n4), each n3
-    long: each block of rows of every frequency's matrix product, the real
-    slices' in real arithmetic, inverted by ``_irfft_rows`` and handed to
-    ``take(rows, s)``, so that the product's spectrum is never held whole."""
-
-    def fill(block, s):
-        for f, (a, b) in enumerate(zip(fa, fb)):
-            block[:, :, f] = a[s] @ b
-
-    _irfft_rows((fa[0].shape[0], fb[0].shape[1], n3), fill, take)
 
 
 def _slice_svd(m: np.ndarray, full_matrices: bool = False):
@@ -271,56 +231,16 @@ def _slice_svd(m: np.ndarray, full_matrices: bool = False):
         return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
-def tsvd_leading(a: Tensor3, r: int) -> tuple[list, list]:
-    """The ``r`` leading T-SVD factors of ``a``: the lists of its frequency
-    slices' U_f[:, :r] and V_f^H[:r], laid out as ``_spectrum``'s, so that
-    ``spectral_product(*tsvd_leading(a, r), n3, take)`` hands ``take`` the
-    rows of u_r * v_r^T, v_r^T being v_r's t-transpose.
-    Equal to the full T-SVD's up to the phase of each singular vector pair.
-
-    The slices are taken ``n3 // 16`` frequencies at a time, and at least
-    one, each pass a new run of ``_spectrum`` that keeps only its own
-    frequencies (so the rfft runs about 8 times for n3 >= 32, and up to 16
-    below); they are factored one after another on the calling thread, in
-    order of frequency, and each is dropped once factored. Only the r
-    leading columns of its factors are kept. So at most a pass's slices,
-    an eighth of the tensor or one slice, and one slice's two SVD factors
-    are alive at once: 0.49 tensor sizes beside the input on 64x64x32 and
-    r = 4, 2.0 on 256x256x3."""
-    a = astensor3(a)
-    n1, n2, n3 = a.shape
-    kmax = min(n1, n2)
-    if not 1 <= r <= kmax:
-        raise ParameterError(f"truncation rank must lie in [1, {kmax}], got {r}")
-    nf, step = n3 // 2 + 1, max(1, n3 // 16)
-    fu, fvh = [], []
-    for first in range(0, nf, step):
-        fa = _spectrum(a, freqs=range(first, min(first + step, nf)))
-        for i in range(len(fa)):
-            u, _, vh = _slice_svd(fa[i])
-            fa[i] = None  # the slice is not needed once factored
-            # copies, so that the full factors are not held until the end
-            fu.append(u[:, :r].copy())
-            fvh.append(vh[:r].copy())
-            del u, vh  # not held through the next slice's SVD
-    return fu, fvh
-
-
-def tnn(a: Tensor3) -> float:
-    """Tensor nuclear norm, fast path: nuclear norm of the zero-frequency
-    slice (which for a real tensor is just the sum of the frontal slices)."""
-    a = astensor3(a)
-    return float(np.linalg.svd(a.sum(axis=2), compute_uv=False).sum())
-
-
-def _gram_svt(m: np.ndarray, tau: float) -> bool:
-    """Singular value thresholding of the matrix ``m`` by ``tau``, in place,
-    from the eigendecomposition of its smaller Gram matrix; False, with m
-    unchanged, if eigh fails.
+def _gram_svt(m: np.ndarray, tau: float, keep: int = 0) -> bool:
+    """Singular value thresholding of the matrix ``m`` by ``tau``, its
+    ``keep`` leading singular values (fewer than min(m.shape)) passing
+    unshrunk, in place, from the eigendecomposition of its smaller Gram
+    matrix; False, with m unchanged, if eigh fails.
 
     An eigenpair (lam, v) of G = m^H m with lam > tau^2 is a right singular
     pair of m with sigma = sqrt(lam), and m v = sigma u, so the shrunk slice
-    sum (sigma - tau) u v^H is (m V_k) (diag(1 - tau/sigma) V_k^H). A wide m
+    sum (sigma - tau) u v^H is (m V_k) (diag(1 - tau/sigma) V_k^H), a kept
+    pair's weight being 1 in place of 1 - tau/sigma. A wide m
     uses m m^H and its left singular vectors instead: (V_k diag(...))
     (V_k^H m). No U is formed. The scaled V_k^H (or V_k) is formed in V's
     own buffer, so besides m at most two slice-sized matrices are alive at
@@ -337,11 +257,13 @@ def _gram_svt(m: np.ndarray, tau: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     del g
-    first = int(np.searchsorted(lam, tau * tau, side="right"))  # lam is ascending
-    # the kept columns' weights 1 - tau/sigma, in v's dtype and over all of
-    # v: a ufunc on a strided view of v, or one that casts, would copy it
+    top = len(lam) - keep  # lam is ascending: the pairs from top on pass unshrunk
+    first = min(top, int(np.searchsorted(lam, tau * tau, side="right")))
+    # the surviving columns' weights, in v's dtype and over all of v: a
+    # ufunc on a strided view of v, or one that casts, would copy it
     w = np.zeros(len(lam), v.dtype)
-    w[first:] = 1.0 - tau / np.sqrt(lam[first:])
+    w[first:top] = 1.0 - tau / np.sqrt(lam[first:top])
+    w[top:] = 1.0
     if wide:
         np.conjugate(v, out=v)  # exact, and undone below: v[:, first:].T is V_k^H
         p = v[:, first:].T @ m
@@ -364,29 +286,37 @@ def _squared_norm(m: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", f, f).sum())
 
 
-def _shrink(m: np.ndarray, tau: float) -> None:
+def _shrink(m: np.ndarray, tau: float, keep: int = 0) -> None:
     """Shrink the singular values of the frequency slice ``m`` by ``tau``
-    (floored at zero), in place. When tau > 0 and ||m||_F <= GRAM_COND * tau
-    this goes through ``_gram_svt``; otherwise, and whenever ``eigh`` fails,
-    through the slice's SVD, whose k triplets above tau are scaled in U's
-    own buffer. Besides m, at most two slice-sized matrices are alive."""
-    if tau > 0 and _squared_norm(m) <= (GRAM_COND * tau) ** 2 and _gram_svt(m, tau):
+    (floored at zero), in place, all but the ``keep`` leading ones, which
+    pass unshrunk; with keep >= min(m.shape), m is left as it is. When
+    tau > 0 and ||m||_F <= GRAM_COND * tau this goes through ``_gram_svt``;
+    otherwise, and whenever ``eigh`` fails, through the slice's SVD, whose
+    k surviving triplets are scaled in U's own buffer. Besides m, at most
+    two slice-sized matrices are alive."""
+    if keep >= min(m.shape):
+        return
+    if tau > 0 and _squared_norm(m) <= (GRAM_COND * tau) ** 2 and _gram_svt(m, tau, keep):
         return
     u, sv, vh = _slice_svd(m)
-    k = int(np.count_nonzero(sv > tau))
-    # only the k triplets above the threshold survive; u is scaled whole,
-    # in its own dtype, so that the ufunc neither copies nor casts it
-    u *= (sv - tau).astype(u.dtype)
+    k = max(keep, int(np.count_nonzero(sv > tau)))
+    # only the k kept or above-threshold triplets survive; u is scaled
+    # whole, in its own dtype, so that the ufunc neither copies nor casts it
+    d = sv - tau
+    d[:keep] = sv[:keep]
+    u *= d.astype(u.dtype)
     np.matmul(u[:, :k], vh[:k], out=m)
 
 
-def svt(x: Tensor3, tau: float, out: Tensor3 | None = None):
+def svt(x: Tensor3, tau: float, out: Tensor3 | None = None, keep: int = 0):
     """Tensor singular value thresholding: shrink every spectral singular
-    value by ``tau`` (floored at zero) and reassemble.
+    value by ``tau`` (floored at zero), except the ``keep`` leading ones of
+    each frequency slice, which pass unshrunk, and reassemble.
 
-    This is the proximal operator of (tau/n3) * sum_f ||X_f||_*, the sum
-    running over all n3 slices X_f of the mode-3 DFT of x. That equals
-    ``tau * tnn`` only for n3 = 1.
+    This is the proximal operator of (tau/n3) * sum_f sum_{i>keep}
+    sigma_i(X_f), the sum running over all n3 slices X_f of the mode-3 DFT
+    of x: with keep = 0 the tensor nuclear norm's, and otherwise the
+    partial SVT of Oh, Tai, Bazin, Kim & Kweon (TPAMI 2016), slice by slice.
 
     Each rfft slice is factored once and shrunk where it lies by
     ``_shrink``, through ``eigh`` of its smaller Gram matrix where that is
@@ -415,10 +345,12 @@ def svt(x: Tensor3, tau: float, out: Tensor3 | None = None):
     x = astensor3(x)
     if not tau >= 0:  # NaN fails every comparison
         raise ParameterError(f"tau must be >= 0, got {tau}")
+    if not (isinstance(keep, (int, np.integer)) and keep >= 0):
+        raise ParameterError(f"keep must be an integer >= 0, got {keep!r}")
     if out is None:
         x = x.copy()  # C-ordered, the workspace
     elif out.shape != x.shape:
         raise DimensionError(f"out must have shape {x.shape}, got {out.shape}")
     fx = _spectrum(x, out=_row_slices(x))
-    _each_slice(lambda i: _shrink(fx[i], tau), len(fx))
+    _each_slice(lambda i: _shrink(fx[i], tau, keep), len(fx))
     return _from_spectrum(fx, x.shape[2], out)

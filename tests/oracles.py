@@ -3,12 +3,12 @@ they need.
 
 None of these runs on the solve path: the block-circulant route of the
 t-product, the whole-array mode-3 rfft pair as one frequency-major stack,
-the full T-SVD and the norms and bounds built on it, the tensor
-helpers those need, and an ADMM sweep that allocates every iterate anew.
-They are independent routes to the quantities the solver computes, so a
-test can compare the fast path with them. The t-product of two tensors
-is the one tool here that runs srtd's own kernel, ``spectral_product``,
-on the frequency slices ``_spectrum`` returns.
+the t-product, the full T-SVD and the norms and bounds built on it, the
+tensor helpers those need, and an ADMM sweep that allocates every iterate
+anew. They are independent routes to the quantities the solver computes,
+so a test can compare the fast path with them. The t-product multiplies
+the frequency slices that srtd's ``_spectrum`` returns and inverts the
+products with its ``_from_spectrum``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ import numpy as np
 import srtd.solver as solver
 from srtd.errors import DimensionError, DivergenceError, ParameterError
 from srtd.solver import SolverConfig
-from srtd.t_algebra import (
-    _slice_svd,
-    _spectrum,
-    row_blocks,
-    spectral_product,
-    svt,
-    tsvd_leading,
-)
+from srtd.t_algebra import _from_spectrum, _slice_svd, _spectrum, row_blocks, svt
 from srtd.tensor_core import Tensor3, astensor3, fro_norm
 from srtd.transforms import dct3, idct3, slabs
 
@@ -68,26 +61,15 @@ def ttranspose(a: Tensor3) -> Tensor3:
     return a.transpose(1, 0, 2)[:, :, order]
 
 
-def product_of_spectra(fa: tuple, fb: tuple, n3: int) -> Tensor3:
-    """srtd's ``spectral_product`` of the frequency slices ``fa`` and
-    ``fb``, its blocks of rows gathered into a new array."""
-    out = np.empty((fa[0].shape[0], fb[0].shape[1], n3))
-
-    def take(rows, s):
-        out[s] = rows
-
-    spectral_product(fa, fb, n3, take)
-    return out
-
-
 def tproduct(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Tensor-tensor product of (n1,n2,n3) by (n2,n4,n3) -> (n1,n4,n3), by
-    srtd's ``spectral_product``."""
+    """Tensor-tensor product of (n1,n2,n3) by (n2,n4,n3) -> (n1,n4,n3): the
+    product of each pair of frequency slices, the real ones' in real
+    arithmetic."""
     a = astensor3(a, "a")
     b = astensor3(b, "b")
     if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise DimensionError(f"tproduct needs (n1,n2,n3) by (n2,n4,n3), got {a.shape} and {b.shape}")
-    return product_of_spectra(_spectrum(a), _spectrum(b), a.shape[2])
+    return _from_spectrum([fa @ fb for fa, fb in zip(_spectrum(a), _spectrum(b))], a.shape[2])
 
 
 def trace_pair(a: Tensor3, b: Tensor3) -> float:
@@ -210,6 +192,13 @@ def tubal_rank(a: Tensor3, tol: float = 1e-8) -> int:
     return int((sv > tol * top).sum(axis=1).max())
 
 
+def tnn(a: Tensor3) -> float:
+    """Tensor nuclear norm, fast path: nuclear norm of the zero-frequency
+    slice (which for a real tensor is just the sum of the frontal slices)."""
+    a = astensor3(a)
+    return float(np.linalg.svd(a.sum(axis=2), compute_uv=False).sum())
+
+
 def tnn_via_tsvd(a: Tensor3) -> float:
     """Tensor nuclear norm, slow path: trace of the T-SVD core summed over
     its frontal slices. Kept as an independent oracle for :func:`tnn`."""
@@ -263,14 +252,6 @@ def truncate_factors(f: TSvdFactors, r: int):
     return ttranspose(f.u[:, :r, :]), ttranspose(f.v[:, :r, :])
 
 
-def factor_spectra(a_k: Tensor3, b_k: Tensor3) -> tuple:
-    """The spatial factors a_k (r,n1,n3) and b_k (r,n2,n3) that
-    :func:`truncate_factors` gives, in the form ``srtd.solver.admm_solve``
-    takes and ``tsvd_leading`` returns: the frequency slices of
-    ttranspose(a_k) and b_k."""
-    return _spectrum(ttranspose(a_k)), _spectrum(b_k)
-
-
 # The allocating ADMM sweep: every update builds new arrays and a warm
 # state's fields are rebound, never written. srtd.solver runs the same
 # floating-point operations in the same order in place, so its iterates
@@ -278,17 +259,17 @@ def factor_spectra(a_k: Tensor3, b_k: Tensor3) -> tuple:
 # lambda = 0, which moves them by transform round-off. The solver keeps
 # x, y, z and the next X-update's argument between sweeps, where this
 # textbook loop keeps w and e: ``reference_argument`` forms that argument
-# from them. Both take the rank-r term T into the W-update in the first
-# sweep of a call only: that sweep leaves y = -T off the mask, up to
-# round-off, so later sweeps take w = x there.
+# from them. Both keep cfg.r singular values per slice from the first
+# sweep whose mu reaches ``solver.PARTIAL_SVT_MU``, and add y/mu to w in
+# the first sweep of a call only: that sweep leaves y = 0 off the mask,
+# up to round-off, so later sweeps take w = x there.
 
 @dataclass
 class ReferenceState:
     """Every iterate of the textbook sweep, W and E included; ``e`` and
-    ``z`` live in the DCT domain. ``first_change`` is the last call's
-    first-sweep change of x, as its stop test measures it, and
-    ``residuals`` the last sweep's (‖x−w‖_F, ‖e−dct3(x)‖_F), summed over
-    the blocks the solver's passes take."""
+    ``z`` live in the DCT domain. ``change`` is the value the last sweep's
+    stop test measured, and ``residuals`` that sweep's (‖x−w‖_F,
+    ‖e−dct3(x)‖_F), summed over the blocks the solver's passes take."""
 
     x: Tensor3
     w: Tensor3
@@ -297,7 +278,7 @@ class ReferenceState:
     z: Tensor3
     mu: float
     inner_iter: int = 0
-    first_change: float = math.inf
+    change: float = math.inf
     residuals: tuple = (math.inf, math.inf)
 
 
@@ -314,20 +295,20 @@ def _blocked_norm(a: Tensor3, blocks) -> float:
 
 
 def _update_x(state: ReferenceState, cfg: SolverConfig) -> Tensor3:
-    return svt(reference_argument(state), 1.0 / (2.0 * state.mu))
+    keep = cfg.r if state.mu >= solver.PARTIAL_SVT_MU else 0
+    return svt(reference_argument(state), 1.0 / (2.0 * state.mu), keep=keep)
 
 
 def _update_e(state: ReferenceState, cfg: SolverConfig, dx: Tensor3) -> Tensor3:
     return soft_threshold(dx - state.z / state.mu, cfg.lam / state.mu)
 
 
-def _update_w(state: ReferenceState, cfg: SolverConfig, m: Tensor3, omega,
-              grad: Tensor3 | None) -> Tensor3:
-    w_free = state.x if grad is None else state.x + (grad + state.y) / state.mu
+def _update_w(state: ReferenceState, m: Tensor3, omega, first: bool) -> Tensor3:
+    w_free = state.x + state.y / state.mu if first else state.x
     return np.where(omega, m, w_free)
 
 
-def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
+def reference_admm_solve(m: Tensor3, omega, cfg: SolverConfig,
                          warm: ReferenceState | None = None) -> ReferenceState:
     """``srtd.solver.admm_solve`` with allocating updates, on a
     ``ReferenceState``; ``m`` must be zero-filled off ``omega``."""
@@ -342,7 +323,6 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
     else:
         state = warm
     state.inner_iter = 0
-    grad = product_of_spectra(*factors, m.shape[2])
 
     for t in range(1, cfg.max_inner + 1):
         x_prev = state.x
@@ -353,7 +333,7 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
         state.e = _update_e(state, cfg, dx)
         dct_gap = state.e - dx
         state.z = state.z + state.mu * dct_gap
-        state.w = _update_w(state, cfg, m, omega, grad if t == 1 else None)
+        state.w = _update_w(state, m, omega, t == 1)
         if not np.isfinite(state.w).all():
             raise DivergenceError(f"non-finite w iterate at inner step {t}", inner_iter=t)
         primal_gap = state.x - state.w
@@ -366,30 +346,18 @@ def reference_admm_solve(m: Tensor3, omega, factors: tuple, cfg: SolverConfig,
         delta = fro_norm(state.x - x_prev)
         if cfg.stop_mode == "relative":
             delta /= max(1.0, fro_norm(state.x))
-        if t == 1:
-            state.first_change = delta
+        state.change = delta
         if delta <= cfg.eps_outer:
             break
     return state
 
 
 def reference_complete(m: Tensor3, omega, cfg: SolverConfig):
-    """``srtd.solver.srtd_complete``'s outer loop over
-    :func:`reference_admm_solve`: it stops once a step's first sweep
-    changes x by at most eps_outer. Returns (recovered, objective trace,
-    final residuals, outer steps, total sweeps)."""
+    """``srtd.solver.srtd_complete`` over :func:`reference_admm_solve`.
+    Returns (recovered, objective trace, final residuals, sweeps)."""
     m = astensor3(m, "m")
     m_obs = np.where(omega, m, 0.0)
-    x_cur, state, trace, inner_total, outer_done = m_obs, None, [], 0, 0
-    for k in range(1, cfg.max_outer + 1):
-        factors = tsvd_leading(x_cur, cfg.r)
-        trace.append(solver._surrogate(x_cur, factors, cfg.lam))
-        state = reference_admm_solve(m_obs, omega, factors, cfg, warm=state)
-        inner_total += state.inner_iter
-        outer_done = k
-        x_cur = state.x
-        if state.first_change <= cfg.eps_outer:
-            break
-    trace.append(solver._surrogate(x_cur, factors, cfg.lam))
-    residuals = (*state.residuals, float(state.first_change))
-    return np.where(omega, m, state.x), tuple(trace), residuals, outer_done, inner_total
+    state = reference_admm_solve(m_obs, omega, cfg)
+    trace = (solver._objective(m_obs, cfg.r, cfg.lam), solver._objective(state.x, cfg.r, cfg.lam))
+    residuals = (*state.residuals, float(state.change))
+    return np.where(omega, m, state.x), trace, residuals, state.inner_iter

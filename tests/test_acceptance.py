@@ -14,23 +14,22 @@ from srtd import cli
 from srtd.evalkit import psnr, random_mask
 from srtd.pnm import save_image
 from srtd.solver import SolverConfig, admm_solve, srtd_complete
-from srtd.t_algebra import _from_spectrum, _spectrum, svt, tnn
+from srtd.t_algebra import _from_spectrum, _spectrum, svt
 from srtd.tensor_core import fro_norm
 from srtd.transforms import dct3, idct3
 
 from oracles import (
     _spectral_stack,
     bcirc,
-    factor_spectra,
     fold,
     identity_tensor,
     inner_product,
     reference_admm_solve,
+    tnn,
     tnn_via_tsvd,
     tproduct,
     trace_bound_check,
     trace_pair,
-    truncate_factors,
     tsvd,
     ttrace,
     ttranspose,
@@ -77,7 +76,7 @@ def test_01_tproduct_matches_bcirc_oracle():
         n1, n2, n4, n3 = rng.integers(1, 5, size=4)
         a = rng.standard_normal((n1, n2, n3))
         b = rng.standard_normal((n2, n4, n3))
-        c = tproduct(a, b)  # srtd's spectral_product, on _spectrum's slices
+        c = tproduct(a, b)  # products of _spectrum's slices, inverted by _from_spectrum
         oracle = fold(bcirc(a) @ unfold(b), (n1, n4, n3))
         worst = max(worst, fro_norm(c - oracle) / max(fro_norm(oracle), 1e-12))
     dt = time.perf_counter() - start
@@ -258,7 +257,6 @@ def test_09_zero_lambda_degenerates_to_pure_truncated_path():
     omega = random_mask(g.shape, 0.5, 9)
     m_obs = np.where(omega, g, 0.0)
     cfg = SolverConfig(r=4, lam=0.0, max_inner=5, eps_outer=1e-30, seed=9)
-    factors = factor_spectra(*truncate_factors(tsvd(m_obs), 4))
     # the solver skips the E/Z steps at lambda = 0; the oracle runs them.
     # The cold start's argument forms idct3(e + z/mu) from e = z = 0, and
     # every later one, across calls too, takes x in its place; the calls
@@ -266,8 +264,8 @@ def test_09_zero_lambda_degenerates_to_pure_truncated_path():
     full = short = None
     worst = 0.0
     for _ in range(4):
-        full = reference_admm_solve(m_obs, omega, factors, cfg, warm=full)
-        short = admm_solve(m_obs, omega, factors, cfg, warm=short)
+        full = reference_admm_solve(m_obs, omega, cfg, warm=full)
+        short = admm_solve(m_obs, omega, cfg, warm=short)
         worst = max(worst, np.abs(full.x - short.x).max())
     _verdict(9, "lambda=0 iterates match the full E/Z loop",
              worst <= 1e-10,
@@ -306,8 +304,7 @@ def test_11_cli_determinism(tmp_path):
     for run in ("first", "second"):
         out = tmp_path / run
         rc = cli.main(["complete", "--input", str(img_path), "--sr", "0.5",
-                       "--seed", "2", "--rank", "2", "--max-outer", "3",
-                       "--out", str(out)])
+                       "--seed", "2", "--rank", "2", "--out", str(out)])
         assert rc == 0
         recovered = (out / "scene_recovered.ppm").read_bytes()
         with open(out / "report.csv") as fh:
@@ -328,25 +325,17 @@ def test_12_penalty_schedule_and_feasibility():
 
     # re-run the exact solve one ADMM sweep at a time to observe mu; a call
     # writes the new x over the state's x, so the previous one is copied.
-    # An outer step stops once its first sweep changes x by at most eps
+    # The solve stops once a sweep changes x by at most eps
     step_cfg = replace(cfg, max_inner=1)
-    x_cur, state, mus = m_obs, None, []
-    for _ in range(cfg.max_outer):
-        factors = factor_spectra(*truncate_factors(tsvd(x_cur), cfg.r))
-        for t in range(cfg.max_inner):
-            x_prev = state.x.copy() if state is not None else m_obs
-            state = admm_solve(m_obs, omega, factors, step_cfg, warm=state)
-            mus.append(state.mu)
-            change = fro_norm(state.x - x_prev)
-            if t == 0:
-                first = change
-            if change <= cfg.eps_outer:
-                break
-        x_cur = state.x
-        if first <= cfg.eps_outer:
+    state, mus = None, []
+    for _ in range(cfg.max_inner):
+        x_prev = state.x.copy() if state is not None else m_obs
+        state = admm_solve(m_obs, omega, step_cfg, warm=state)
+        mus.append(state.mu)
+        if fro_norm(state.x - x_prev) <= cfg.eps_outer:
             break
 
-    replays = fro_norm(np.where(omega, 0.0, x_cur - report.recovered))
+    replays = fro_norm(np.where(omega, 0.0, state.x - report.recovered))
     faithful = replays <= 1e-10 * fro_norm(g)
     monotone = all(m2 >= m1 for m1, m2 in zip(mus, mus[1:]))
     capped = all(mu <= cfg.mu_max for mu in mus)

@@ -38,7 +38,7 @@ def test_complete_writes_recovered_and_report(tmp_path):
     _write_image(img_path)
     out = tmp_path / "out"
     rc = cli.main(["complete", "--input", str(img_path), "--sr", "0.5", "--seed", "1",
-                   "--rank", "2", "--max-outer", "3", "--out", str(out)])
+                   "--rank", "2", "--out", str(out)])
     assert rc == 0
     assert (out / "toy_recovered.ppm").is_file()
     header, rows = _read_report(out / "report.csv")
@@ -60,7 +60,7 @@ def test_complete_fully_observed_is_identity(tmp_path):
     img = _write_image(img_path, seed=3)
     out = tmp_path / "out"
     rc = cli.main(["complete", "--input", str(img_path), "--sr", "1.0",
-                   "--rank", "2", "--max-outer", "2", "--out", str(out)])
+                   "--rank", "2", "--out", str(out)])
     assert rc == 0
     resaved = tmp_path / "resaved.ppm"
     save_image(img, resaved)
@@ -152,13 +152,13 @@ def test_divergence_exit_code_keeps_partial_report(tmp_path, monkeypatch):
     def flaky(m, omega, cfg):
         calls.append(1)
         if len(calls) >= 2:
-            raise DivergenceError("synthetic blow-up", outer_iter=1, inner_iter=3)
+            raise DivergenceError("synthetic blow-up", inner_iter=3)
         return real(m, omega, cfg)
 
     monkeypatch.setattr(cli, "srtd_complete", flaky)
     out = tmp_path / "out"
     rc = cli.main(["complete", "--input", str(a), str(b), "--sr", "0.5",
-                   "--rank", "2", "--max-outer", "2", "--out", str(out)])
+                   "--rank", "2", "--out", str(out)])
     assert rc == 4
     _, rows = _read_report(out / "report.csv")
     assert len(rows) == 1
@@ -186,7 +186,7 @@ def test_config_file_merge_and_flag_precedence(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
         "input": str(img_path), "sr": 0.6, "rank": 2,
-        "lambda": 0.02, "max_outer": 2, "out": str(out),
+        "lambda": 0.02, "max_inner": 20, "out": str(out),
     }))
     rc = cli.main(["complete", "--config", str(config), "--lambda", "0.05"])
     assert rc == 0
@@ -243,7 +243,7 @@ def test_config_file_errors(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["seed", "rank", "max_outer", "max_inner", "jobs"])
+@pytest.mark.parametrize("key", ["seed", "rank", "max_inner", "jobs"])
 @pytest.mark.parametrize("value", [2.5, True, float("inf")], ids=["fraction", "bool", "inf"])
 def test_config_file_rejects_non_integral_counts(tmp_path, key, value):
     img_path = tmp_path / "toy.pgm"
@@ -263,7 +263,7 @@ def test_config_file_accepts_integral_float_counts(tmp_path):
     _write_image(img_path, shape=(6, 6, 1))
     out = tmp_path / "out"
     config = tmp_path / "exp.json"
-    config.write_text(json.dumps({"rank": 2.0, "max_outer": 2.0, "seed": 3.0}))
+    config.write_text(json.dumps({"rank": 2.0, "max_inner": 20.0, "seed": 3.0}))
     rc = cli.main(["complete", "--input", str(img_path), "--sr", "0.5", "--out", str(out),
                    "--config", str(config)])
     assert rc == 0
@@ -277,7 +277,7 @@ def test_sweep_lambda_is_mask_matched(tmp_path):
     _write_image(img_path)
     out = tmp_path / "out"
     rc = cli.main(["sweep", "--input", str(img_path), "--sr", "0.5", "--rank", "2",
-                   "--max-outer", "2", "--out", str(out),
+                   "--out", str(out),
                    "--axis", "lambda", "--values", "0", "0.01", "0.05"])
     assert rc == 0
     _, rows = _read_report(out / "report.csv")
@@ -293,7 +293,7 @@ def test_sweep_rank_axis(tmp_path):
     _write_image(img_path, shape=(8, 8, 1))
     out = tmp_path / "out"
     rc = cli.main(["sweep", "--input", str(img_path), "--sr", "0.6", "--rank", "1",
-                   "--max-outer", "2", "--out", str(out),
+                   "--out", str(out),
                    "--axis", "rank", "--values", "1", "2", "3"])
     assert rc == 0
     _, rows = _read_report(out / "report.csv")
@@ -314,7 +314,7 @@ def test_sweep_sr_axis_json_report(tmp_path):
     _write_image(img_path, shape=(8, 6, 1))
     out = tmp_path / "out"
     report = out / "report.json"
-    rc = cli.main(["sweep", "--input", str(img_path), "--rank", "2", "--max-outer", "2",
+    rc = cli.main(["sweep", "--input", str(img_path), "--rank", "2",
                    "--out", str(out), "--report", str(report),
                    "--axis", "sr", "--values", "0.4", "0.8"])
     assert rc == 0
@@ -340,7 +340,7 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     for jobs, name in (("1", "serial"), ("3", "parallel")):
         out = tmp_path / name
         rc = cli.main(["sweep", "--input", str(img_path), "--sr", "0.5", "--rank", "2",
-                       "--max-outer", "2", "--out", str(out), "--jobs", jobs,
+                       "--out", str(out), "--jobs", jobs,
                        "--axis", "lambda", "--values", "0", "0.05", "0.1"])
         assert rc == 0
         _, rows = _read_report(out / "report.csv")
@@ -390,7 +390,7 @@ def test_video_pipeline(tmp_path):
                    vid / f"frame_{idx:02d}.pgm")
     out = tmp_path / "out"
     rc = cli.main(["complete", "--input", str(vid), "--sr", "0.6", "--rank", "2",
-                   "--max-outer", "2", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 0
     frames = sorted((out / "clip_recovered").iterdir())
     assert [f.name for f in frames] == ["frame_0000.pgm", "frame_0001.pgm", "frame_0002.pgm"]
@@ -409,7 +409,7 @@ def test_mask_file_flow(tmp_path):
     save_image(mask_img, mask_path)
     out = tmp_path / "out"
     rc = cli.main(["complete", "--input", str(img_path), "--mask-file", str(mask_path),
-                   "--rank", "2", "--max-outer", "2", "--out", str(out)])
+                   "--rank", "2", "--out", str(out)])
     assert rc == 0
     _, rows = _read_report(out / "report.csv")
     assert rows[0][1] == f"file:{mask_path}"
@@ -448,7 +448,7 @@ def test_serial_runs_load_no_thread_pool(tmp_path):
     _write_image(img_path, shape=(8, 7, 1))
     psnr_args = ["psnr", "--input", str(img_path), "--ref", str(img_path)]
     complete_args = ["complete", "--input", str(img_path), "--sr", "0.6", "--rank", "2",
-                     "--max-outer", "2", "--out", str(tmp_path / "o"), "--jobs", "1"]
+                     "--out", str(tmp_path / "o"), "--jobs", "1"]
     code = (
         "import sys\n"
         "import srtd.cli\n"
@@ -471,3 +471,37 @@ def test_python_m_runs_the_cli(tmp_path):
                    cwd=tmp_path, env=env, capture_output=True, check=True, timeout=60)
     assert (tmp_path / "o" / "toy_recovered.pgm").is_file()
     assert (tmp_path / "o" / "report.csv").read_text().splitlines()[0] == "# srtd-report-v1"
+
+
+def test_video_glob_and_directory_read_the_same_frames(tmp_path):
+    # a subdirectory among the frames is skipped by either form of --input
+    vid = tmp_path / "frames"
+    vid.mkdir()
+    rng = np.random.default_rng(12)
+    for idx in range(3):
+        save_image(rng.integers(0, 256, size=(6, 5, 1)).astype(float),
+                   vid / f"frame_{idx:02d}.pgm")
+    (vid / "extra").mkdir()
+    recovered = []
+    for source, out in ((str(vid / "*"), tmp_path / "by_glob"), (str(vid), tmp_path / "by_dir")):
+        rc = cli.main(["complete", "--input", source, "--sr", "0.5", "--rank", "1",
+                       "--out", str(out)])
+        assert rc == 0
+        recovered.append([f.read_bytes() for f in sorted((out / "frames_recovered").iterdir())])
+    assert len(recovered[0]) == 3 and recovered[0] == recovered[1]
+
+
+def test_rank_zero_runs_the_tensor_nuclear_norm(tmp_path):
+    # r = 0 shrinks every singular value; a negative rank is an argument error
+    img_path = tmp_path / "toy.pgm"
+    _write_image(img_path, shape=(6, 6, 1))
+    out = tmp_path / "out"
+    base = ["--input", str(img_path), "--sr", "0.5", "--out", str(out)]
+    assert cli.main(["complete", *base, "--rank", "-1"]) == 2
+    assert not out.exists()
+    assert cli.main(["complete", *base, "--rank", "0"]) == 0
+    assert (out / "toy_recovered.pgm").is_file()
+    assert cli.main(["sweep", *base, "--rank", "1", "--axis", "rank", "--values", "0", "4"]) == 0
+    _, rows = _read_report(out / "report.csv")
+    assert [r[3] for r in rows] == ["0", "4"]
+    assert (out / "toy_rank0_recovered.pgm").is_file()

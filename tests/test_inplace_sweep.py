@@ -15,20 +15,15 @@ from hypothesis import strategies as st
 
 from srtd import solver, t_algebra, transforms
 from srtd.solver import SolverConfig, SolverState, admm_solve, srtd_complete
-from srtd.t_algebra import svt, tsvd_leading
+from srtd.t_algebra import svt
 from srtd.tensor_core import fro_norm
 
 from oracles import (
     ReferenceState,
-    bcirc,
-    factor_spectra,
-    fold,
     reference_admm_solve,
     reference_argument,
     reference_complete,
     tproduct,
-    ttranspose,
-    unfold,
 )
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -81,7 +76,7 @@ def _same_residuals(new: SolverState, ref: ReferenceState) -> bool:
     # take, so they are the sweep's to the bit; the SVT sums the iterate
     # change block by block, the reference over the whole array
     return (new.residuals == ref.residuals
-            and abs(new.first_change - ref.first_change) <= 1e-12 * ref.first_change)
+            and abs(new.change - ref.change) <= 1e-12 * ref.change)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -91,7 +86,6 @@ def test_sweep_is_bitwise_the_allocating_reference(slice_threads, threads, n3, d
     slice_threads(threads)
     g, omega = _instance((*dims, n3), seed=10 * n3 + dims[0])
     m_obs = np.where(omega, g, 0.0)
-    factors = tsvd_leading(m_obs, 2)
     for lam in (0.02, 0.0):
         same = _same_state if lam else _near_state
         for stop_mode in ("relative", "absolute"):
@@ -101,18 +95,17 @@ def test_sweep_is_bitwise_the_allocating_reference(slice_threads, threads, n3, d
                                stop_mode=stop_mode, seed=n3)
             ref = new = None
             for _ in range(2):
-                ref = reference_admm_solve(m_obs, omega, factors, cfg, warm=ref)
-                new = admm_solve(m_obs, omega, factors, cfg, warm=new)
+                ref = reference_admm_solve(m_obs, omega, cfg, warm=ref)
+                new = admm_solve(m_obs, omega, cfg, warm=new)
                 assert same(new, ref)
                 if lam:
                     assert _same_residuals(new, ref)
-            # the whole solve, with the inner and outer stop tests live
-            cfg = SolverConfig(r=2, lam=lam, mu_init=1e-2, max_outer=4, eps_outer=1e-4,
+            # the whole solve, with the stop test live
+            cfg = SolverConfig(r=2, lam=lam, mu_init=1e-2, eps_outer=1e-4,
                                stop_mode=stop_mode, seed=n3)
-            recovered, trace, residuals, outer, inner = reference_complete(g, omega, cfg)
+            recovered, trace, residuals, inner = reference_complete(g, omega, cfg)
             report = srtd_complete(g, omega, cfg)
-            assert (report.outer_iters, report.inner_iters_total) == (outer, inner)
-            assert inner >= 15
+            assert report.inner_iters_total == inner >= 15
             if lam:
                 assert np.array_equal(report.recovered, recovered)
                 assert report.objective_trace == trace
@@ -132,18 +125,17 @@ def test_sweep_ignores_m_off_the_mask_and_writes_no_input():
     m_obs = np.where(omega, g, 0.0)
     spoiled = np.where(omega, g, np.nan)
     spoiled_before = spoiled.copy()
-    factors = tsvd_leading(m_obs, 2)
     cfg = SolverConfig(r=2, lam=0.02, max_inner=20, seed=3)
 
-    clean = admm_solve(m_obs, omega, factors, cfg)
-    state = admm_solve(spoiled, omega, factors, cfg)
+    clean = admm_solve(m_obs, omega, cfg)
+    state = admm_solve(spoiled, omega, cfg)
     assert _same_state(state, clean)
     assert np.array_equal(spoiled, spoiled_before, equal_nan=True)
 
     # a warm start's four arrays are updated in place
-    clean = admm_solve(m_obs, omega, factors, cfg, warm=_copy(clean))
+    clean = admm_solve(m_obs, omega, cfg, warm=_copy(clean))
     before = _arrays(state)
-    state = admm_solve(spoiled, omega, factors, cfg, warm=state)
+    state = admm_solve(spoiled, omega, cfg, warm=state)
     assert _same_state(state, clean)
     assert all(new is old for new, old in zip(_arrays(state), before))
     assert np.array_equal(spoiled, spoiled_before, equal_nan=True)
@@ -154,22 +146,20 @@ def test_sweep_ignores_m_off_the_mask_and_writes_no_input():
        lam=st.sampled_from([0.0, 0.05]), warm=st.booleans(), seed=st.integers(0, 2**16))
 def test_fused_sweep_is_bitwise_the_reference(n1, n2, n3, lam, warm, seed):
     # x, the next argument, y, z, the residuals, mu and the sweep count of
-    # a call, cold or warm from a lambda = 0.05 call with the next outer
-    # step's factors. A cold start at lambda = 0 skips the E/Z steps, a
-    # round-off away from the reference (test_zero_lambda_matches_the_full_
-    # ez_loop); from a warm state, whose z is not 0, they run
+    # a call, cold or warm from a lambda = 0.05 call. A cold start at
+    # lambda = 0 skips the E/Z steps, a round-off away from the reference
+    # (test_zero_lambda_matches_the_full_ez_loop); from a warm state, whose
+    # z is not 0, they run. mu starts at the partial SVT's gate
     assume(warm or lam)
     g, omega = _instance((n1, n2, n3), seed)
     m_obs = np.where(omega, g, 0.0)
-    factors = tsvd_leading(m_obs, 1)
     cfg = SolverConfig(r=1, lam=lam, mu_init=1e-2, eps_outer=1e-30, max_inner=6, seed=seed)
     ref = new = None
     if warm:
-        ref = reference_admm_solve(m_obs, omega, factors, replace(cfg, lam=0.05))
-        new = admm_solve(m_obs, omega, factors, replace(cfg, lam=0.05))
-        factors = tsvd_leading(new.x, 1)
-    ref = reference_admm_solve(m_obs, omega, factors, cfg, warm=ref)
-    new = admm_solve(m_obs, omega, factors, cfg, warm=new)
+        ref = reference_admm_solve(m_obs, omega, replace(cfg, lam=0.05))
+        new = admm_solve(m_obs, omega, replace(cfg, lam=0.05))
+    ref = reference_admm_solve(m_obs, omega, cfg, warm=ref)
+    new = admm_solve(m_obs, omega, cfg, warm=new)
     assert _same_state(new, ref) and new.inner_iter == 6
     assert _same_residuals(new, ref)
 
@@ -178,68 +168,31 @@ def test_fused_sweep_is_bitwise_the_reference(n1, n2, n3, lam, warm, seed):
 @given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 6),
        lam=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**16))
 def test_sweeps_after_the_first_leave_y_off_the_mask(n1, n2, n3, lam, seed):
-    # the first sweep of a call takes the rank-r term T and leaves y = -T
-    # off the mask, to round-off; later sweeps take w = x there, so the
+    # the first sweep of a call takes w = x + y/mu off the mask and leaves
+    # y = 0 there, to round-off; later sweeps take w = x there, so the
     # Y-update adds mu (x - x) = 0 and y stays as it was, bit for bit. The
-    # term is built once per call, cold or warm
+    # W-update adds y/mu in one sweep per call, cold or warm
     g, omega = _instance((n1, n2, n3), seed)
     m_obs = np.where(omega, g, 0.0)
-    factors = tsvd_leading(m_obs, 1)
     cfg = SolverConfig(r=1, lam=lam, mu_init=1e-2, eps_outer=1e-30, max_inner=1, seed=seed)
-    calls = Counter()
-    product = solver.spectral_product
+    firsts = []
+    update_wy = solver.update_wy
 
-    def counted(*args, **kwargs):
-        calls["spectral_product"] += 1
-        return product(*args, **kwargs)
+    def counted(state, m, omega, first, back, mu_next):
+        firsts.append(first)
+        return update_wy(state, m, omega, first, back, mu_next)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "spectral_product", counted)
-        for warm in (None, admm_solve(m_obs, omega, factors, cfg)):
+        mp.setattr(solver, "update_wy", counted)
+        for warm in (None, admm_solve(m_obs, omega, cfg)):
             copy = (lambda: None) if warm is None else (lambda: _copy(warm))
-            first = admm_solve(m_obs, omega, factors, cfg, warm=copy())
-            calls.clear()
-            state = admm_solve(m_obs, omega, factors, replace(cfg, max_inner=5), warm=copy())
-            assert calls["spectral_product"] == 1 and state.inner_iter == 5
+            first = admm_solve(m_obs, omega, cfg, warm=copy())
+            scale = 1.0 if warm is None else np.abs(warm.y).max(initial=0.0)
+            assert np.abs(first.y[~omega]).max(initial=0.0) <= 1e-15 * max(scale, 1.0)
+            firsts.clear()
+            state = admm_solve(m_obs, omega, replace(cfg, max_inner=5), warm=copy())
+            assert firsts[-5:] == [True, False, False, False, False] and state.inner_iter == 5
             assert np.array_equal(state.y[~omega], first.y[~omega])
-
-
-@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 32])
-@pytest.mark.parametrize("rank", ["1", "min"])
-def test_w_update_rebuilds_the_rank_r_term_bit_for_bit(monkeypatch, n3, rank):
-    # the first sweep's W-update builds tproduct(ttranspose(a_k), b_k) from
-    # the factors' spectra a block of rows at a time, two rows here, the
-    # odd last row joining the block before it: numpy would multiply a
-    # one-row block by gemv, not gemm. With x = y = 0, mu = 1 and nothing
-    # observed, w is that term T, the Y-update leaves y = 0 + (0 - w) = -T
-    # and the argument (w - y + 0) / 2 = T, which must be the allocating
-    # reference's t-product bit for bit; the argument's buffer is written,
-    # never read. r = 1 multiplies outside BLAS, r = 7 inside
-    rng = np.random.default_rng(n3)
-    n1, n2 = 9, 7
-    r = 1 if rank == "1" else min(n1, n2)
-    a_k, b_k = rng.standard_normal((r, n1, n3)), rng.standard_normal((r, n2, n3))
-    factors = factor_spectra(a_k, b_k)
-    nf = n3 // 2 + 1
-    monkeypatch.setattr(transforms, "SLAB_ENTRIES", 2 * n2 * (2 * nf + n3))
-    blocks = []
-
-    def cut(*args, **kwargs):
-        blocks.extend(len(range(n1)[s]) for s in transforms.slabs(*args, **kwargs))
-        return transforms.slabs(*args, **kwargs)
-
-    monkeypatch.setattr(t_algebra, "slabs", cut)
-    zero = np.zeros((n1, n2, n3))
-    state = SolverState(x=zero, arg=np.full(zero.shape, np.nan), y=np.zeros(zero.shape),
-                        z=None, mu=1.0)
-    solver.update_wy(state, zero, np.zeros(zero.shape, bool), factors, zero, 1.0)
-    assert blocks == [2, 2, 2, 3]
-    term = tproduct(ttranspose(a_k), b_k)
-    assert np.array_equal(-state.y, term)
-    assert np.array_equal(state.arg, term)
-    # and the term is the t-product, by the block-circulant route
-    oracle = fold(bcirc(ttranspose(a_k)) @ unfold(b_k), zero.shape)
-    assert fro_norm(term - oracle) <= 1e-12 * fro_norm(oracle)
 
 
 def _traced_peak(fn):
@@ -384,33 +337,6 @@ def test_svt_consuming_x_holds_no_separate_spectrum(slice_threads, threads):
         assert held - peak >= 0.8 * x.nbytes
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_tsvd_leading_factors_one_slice_at_a_time(slice_threads, threads):
-    # 128x128x3, r = 8: one real and one complex rfft slice, a third and
-    # two thirds of a tensor size, taken one per pass. The slices are
-    # factored one after another, each dropped once factored, so at most
-    # one slice and its two SVD factors are alive: the complex slice with
-    # its u and v^H, two tensor sizes. Measured 2.05 on one slice thread
-    # and on two; 3.02 on two when the slices were factored at once, each
-    # slice's factors beside the other's
-    slice_threads(threads)
-    x = np.random.default_rng(10).standard_normal((128, 128, 3))
-    bound = 3 * max(f.nbytes for f in t_algebra._spectrum(x))
-    tsvd_leading(x, 8)  # the lazy imports and caches
-    assert _traced_peak(lambda: tsvd_leading(x, 8))[0] <= bound + 0.1 * x.nbytes
-
-
-def test_tsvd_leading_takes_a_few_frequencies_at_a_time():
-    # 64x64x32, r = 4: 17 slices, one tensor size in all, taken two
-    # frequencies per pass of the rfft, so beside its input the call holds
-    # a pass's slices and one rfft block, or one slice and its SVD factors,
-    # and the factors it returns. Measured 0.49 tensor sizes; 1.25 with the
-    # whole spectrum taken at once
-    x = np.random.default_rng(10).standard_normal((64, 64, 32))
-    tsvd_leading(x, 4)  # the lazy imports and caches
-    assert _traced_peak(lambda: tsvd_leading(x, 4))[0] <= 0.55 * x.nbytes
-
-
 def _solve_peak(g, omega, cfg, warmup_cfg=None):
     """The traced peak of one srtd_complete call, in sizes of g; a first
     call, with ``warmup_cfg`` if given, takes the lazy imports and caches."""
@@ -422,9 +348,10 @@ def _solve_peak(g, omega, cfg, warmup_cfg=None):
 
 def test_solve_peak_memory_in_tensor_sizes(slice_threads):
     # 48x40x24, r = 3: four tensors between sweeps, and the SVT's
-    # spectrum written in its argument's own rows. Measured 5.57 tensors
-    # (numpy 2.4, one slice thread); CHANGES.md records how it came down
-    # from the allocating sweep's 12.31. The bound keeps the margin of the
+    # spectrum written in its argument's own rows. Measured 5.43 tensors
+    # (numpy 2.4, one slice thread), 5.57 when the outer loop held its
+    # factors; CHANGES.md records how it came down from the allocating
+    # sweep's 12.31. The bound keeps the margin of the
     # 64x64x32 guards, half a tensor
     slice_threads(1)
     rng = np.random.default_rng(0)
@@ -444,56 +371,37 @@ def _video_instance():
 
 
 def test_sweep_writes_x_over_the_previous_x(slice_threads):
-    # 64x64x32, r = 4, two outer steps of 20 sweeps (numpy 2.4, one slice
-    # thread). Four tensors live between sweeps (x, the next SVT's
+    # 64x64x32, r = 4, 40 sweeps (numpy 2.4, one slice thread). Four tensors live between sweeps (x, the next SVT's
     # argument, y and z); the SVT writes its spectrum over its argument's
     # rows and x over the previous x, and no sweep holds e or w whole.
-    # Measured 4.63 tensors at lambda 0.01 and 4.61 at 0; 5.38 at either
-    # with the SVT's rfft slices in arrays of their own, and 10.33 with a
+    # Measured 4.50 tensors at lambda 0.01 and 4.32 at 0; 4.63 and 4.61
+    # with the outer loop's factors held, 5.38 at either with the SVT's
+    # rfft slices in arrays of their own, and 10.33 with a
     # sweep that allocated every iterate. The bound leaves about half a
     # tensor
     slice_threads(1)
     g, omega = _video_instance()
     for lam in (0.01, 0.0):
-        cfg = SolverConfig(r=4, lam=lam, stop_mode="absolute", max_outer=2, max_inner=20,
-                           seed=0)
+        cfg = SolverConfig(r=4, lam=lam, stop_mode="absolute", max_inner=40, seed=0)
         peak, report = _solve_peak(g, omega, cfg, replace(cfg, max_inner=2))
-        assert (report.outer_iters, report.inner_iters_total) == (2, 40)
-        assert peak <= 5.15
-
-
-def test_outer_steps_of_one_sweep_peak_memory(slice_threads):
-    # 64x64x32, r = 4, two outer steps of one sweep each, as the benchmark's
-    # video workload ends its second step after one sweep. Between the
-    # sweeps the outer step keeps no copy of x, takes its T-SVD two
-    # frequencies at a time and its objective's l1 term from the last
-    # sweep, and an in-place DCT holds one slab buffer at a time. Measured
-    # 4.63 tensors at lambda 0.01 and 4.61 at 0 (numpy 2.4, one slice
-    # thread); 5.38 at either with the whole spectrum taken at step 2 and
-    # the l1 term from a dct3 of x, and 7.75 with full-size temporaries
-    slice_threads(1)
-    g, omega = _video_instance()
-    for lam in (0.01, 0.0):
-        cfg = SolverConfig(r=4, lam=lam, stop_mode="absolute", max_outer=2, max_inner=1,
-                           seed=0)
-        peak, report = _solve_peak(g, omega, cfg)
-        assert (report.outer_iters, report.inner_iters_total) == (2, 2)
+        assert report.inner_iters_total == 40
         assert peak <= 5.15
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_whole_video_solve_peak_memory(slice_threads, threads):
     # 64x64x32, r = 4, lambda 0.01, run to its stop as the benchmark's video
-    # workload: 133 sweeps in two outer steps. Four tensors live between
+    # workload: 144 sweeps in one loop. Four tensors live between
     # sweeps, and a sweep adds slab-sized arrays to them, the SVT the
-    # temporaries of the slices it shrinks. Measured 4.63 tensors on one
-    # slice thread and on two; 5.38 on either with the SVT's rfft slices
-    # in arrays of their own, and 6.44 with five tensors between sweeps
+    # temporaries of the slices it shrinks. Measured 4.50 tensors on one
+    # slice thread and on two; 4.63 with the outer loop's factors held,
+    # 5.38 on either with the SVT's rfft slices in arrays of their own,
+    # and 6.44 with five tensors between sweeps
     slice_threads(threads)
     g, omega = _video_instance()
     cfg = SolverConfig(r=4, lam=0.01, stop_mode="absolute", seed=0)
-    peak, report = _solve_peak(g, omega, cfg, replace(cfg, max_outer=1, max_inner=2))
-    assert (report.outer_iters, report.inner_iters_total) == (2, 133)
+    peak, report = _solve_peak(g, omega, cfg, replace(cfg, max_inner=2))
+    assert report.inner_iters_total == 144
     assert peak <= 5.15
 
 
@@ -501,8 +409,9 @@ def test_sweep_outside_the_svt_holds_no_e_or_w(slice_threads, monkeypatch):
     # the same solve, traced from each SVT's return to the next SVT call
     # or the end of its admm_solve call: the rest of every sweep, where the
     # E/Z and W/Y passes form e and w a slab at a time beside the four
-    # tensors. Measured 4.64 tensors (numpy 2.4, one slice thread); 5.45
-    # with a full-size e alive from the E-update to the next argument.
+    # tensors. Measured 4.51 tensors (numpy 2.4, one slice thread), 4.64
+    # with the outer loop's factors held; 5.45 with a full-size e alive
+    # from the E-update to the next argument.
     # The bound leaves about half a tensor
     slice_threads(1)
     g, omega = _video_instance()
@@ -531,8 +440,8 @@ def test_sweep_outside_the_svt_holds_no_e_or_w(slice_threads, monkeypatch):
 
     monkeypatch.setattr(solver, "svt", traced_svt)
     monkeypatch.setattr(solver, "admm_solve", traced_admm)
-    _, report = _solve_peak(g, omega, cfg, replace(cfg, max_outer=1, max_inner=2))
-    assert len(peaks) == report.inner_iters_total == 133
+    _, report = _solve_peak(g, omega, cfg, replace(cfg, max_inner=2))
+    assert len(peaks) == report.inner_iters_total == 144
     assert max(peaks) / g.nbytes <= 5.15
 
 
@@ -565,8 +474,9 @@ def test_solve_peak_memory_with_few_large_slices(slice_threads, threads):
     # and 6.82-7.53 over 40 runs on two (median 6.92; numpy 2.4). With the
     # SVT's slices shrunk in its spent argument's buffer, at 6.19 on one and
     # 6.20 in every one of 12 runs on two; with e and w formed a slab at a
-    # time, at 5.97 on one and 6.09 on two. The bound leaves about half a
-    # tensor on either thread count
+    # time, at 5.97 on one and 6.09 on two; with one loop, which holds no
+    # factors, at 5.78 on one and 6.04 on two. The bound leaves about half
+    # a tensor on either thread count
     slice_threads(threads)
     rng = np.random.default_rng(0)
     g = tproduct(rng.random((128, 4, 3)), rng.random((4, 96, 3)))

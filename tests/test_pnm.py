@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srtd.errors import FormatError, ParameterError
+from srtd.evalkit import mask_from_image
 from srtd.pnm import load_image, load_video, save_image
 
 
@@ -166,3 +167,39 @@ def test_video_rejects_empty_source(tmp_path):
     vid.mkdir()
     with pytest.raises(FormatError, match="no frames"):
         load_video(vid)
+
+
+def test_load_scales_a_small_maxval_to_255(tmp_path):
+    # samples are scaled by 255/maxval: with maxval 15 a white sample 15
+    # reads as 255.0 and writes back as 255, not as 15 of 255
+    path = _write(tmp_path / "four_bit.pgm", b"P5\n3 1\n15\n" + bytes([15, 0, 5]))
+    t = load_image(path)
+    assert t.ravel().tolist() == [255.0, 0.0, 85.0]
+    save_image(t, tmp_path / "back.pgm")
+    assert (tmp_path / "back.pgm").read_bytes() == b"P5\n3 1\n255\n" + bytes([255, 0, 85])
+    for maxval in range(1, 255):
+        raw = b"P5\n1 1\n%d\n" % maxval + bytes([maxval])
+        assert load_image(_write(tmp_path / "m.pgm", raw))[0, 0, 0] == 255.0
+
+
+def test_a_mask_file_keeps_its_zero_pattern_at_any_maxval(tmp_path):
+    # nonzero pixels are missing, zero ones observed, whatever the maxval
+    raster = bytes([0, 1, 0, 3])
+    for maxval in (1, 3, 255):
+        path = _write(tmp_path / "mask.pgm", b"P5\n2 2\n%d\n" % maxval + raster)
+        omega = mask_from_image(path)
+        assert omega[:, :, 0].tolist() == [[True, False], [True, False]]
+
+
+def test_video_skips_subdirectories_from_a_directory_and_a_glob(tmp_path):
+    # the same tree read as a directory and as a glob: the subdirectory,
+    # which a glob matches too, is not a frame
+    vid = tmp_path / "frames"
+    vid.mkdir()
+    for idx in range(3):
+        save_image(np.full((2, 3, 1), float(idx)), vid / f"frame_{idx:04d}.pgm")
+    (vid / "frame_sub").mkdir()
+    by_dir = load_video(vid)
+    by_glob = load_video(str(vid / "*"))
+    assert by_dir.shape == (2, 3, 3)
+    assert np.array_equal(by_dir, by_glob)

@@ -8,7 +8,7 @@ hold at any lambda. A circular shift of mode 3 (a phase on each DFT
 slice) and a row permutation keep the low-rank term only, so they hold
 at lambda = 0 with z = 0, where the DCT never enters. The solves run at
 the ``admm_solve`` level through ``warm=``, from a state the test forms
-itself, with a fixed number of sweeps. These checks need no bitwise
+itself, with a fixed number of one-sweep calls. These checks need no bitwise
 oracle: they see the fused, blocked and slabbed passes from outside.
 """
 
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srtd.solver import SolverConfig, SolverState, admm_solve
-from srtd.t_algebra import tsvd_leading
 from srtd.tensor_core import fro_norm
 from srtd.transforms import dct3, idct3
 
@@ -67,8 +66,16 @@ def _problem(n1, n2, n3, rank, seed, with_z):
 
 
 def _solve(m, omega, state, rank, lam):
-    cfg = SolverConfig(r=rank, lam=lam, eps_outer=1e-300, max_inner=SWEEPS)
-    return admm_solve(m, omega, tsvd_leading(state.x, rank), cfg, warm=state)
+    # SWEEPS calls of one sweep each, so that no stop test ends a solve
+    # early: the partial SVT can reach its fixed point within SWEEPS, x
+    # then repeating to the bit. After the first sweep y is 0 off the mask
+    # to round-off, so each call's first sweep, which adds y/mu to w there,
+    # is a later sweep of one call to round-off
+    cfg = SolverConfig(r=rank, lam=lam, max_inner=1)
+    for _ in range(SWEEPS):
+        state = admm_solve(m, omega, cfg, warm=state)
+        assert state.inner_iter == 1
+    return state
 
 
 def _mapped(f, fz, state):
@@ -88,7 +95,6 @@ def _gaps(f, fz, m, omega, state, rank, lam):
     mapped = _solve(np.ascontiguousarray(f(m)), np.ascontiguousarray(f(omega)),
                     _mapped(f, fz, state), rank, lam)
     plain = _solve(m, omega, state, rank, lam)
-    assert mapped.inner_iter == plain.inner_iter == SWEEPS
     want = _mapped(f, fz, plain)
     return [fro_norm(getattr(mapped, name) - getattr(want, name))
             / max(scale, fro_norm(getattr(want, name)), 1e-300)
@@ -124,8 +130,8 @@ def test_zero_lambda_solve_commutes_with_mode3_shifts_and_row_permutations(
 
 def test_sparse_solve_sees_a_mode3_shift():
     # the control case: at lambda > 0 the DCT term is not shift-invariant,
-    # so the shifted problem's x moves away from the shifted x, by 7.3e-3
-    # relative here, where the symmetric cases above read at most 5.3e-14
+    # so the shifted problem's x moves away from the shifted x, by 7.6e-3
+    # relative here, where the symmetric cases above read at most 2.7e-14
     m, omega, state, rng = _problem(6, 5, 4, 2, 3, with_z=False)
     f, _ = _maps(m.shape, rng)["shift3"]
     assert _gaps(f, None, m, omega, state, 2, 0.05)[0] > 1e-6

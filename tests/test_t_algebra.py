@@ -2,7 +2,8 @@
 tubal rank, nuclear norms, SVT, and the trace inequality used by the solver.
 The T-SVD, tubal rank, truncated norm and trace bound are the oracles in
 ``oracles.py``; their tests keep those references honest. The t-product
-tests check srtd's ``spectral_product``, which ``oracles.tproduct`` runs."""
+tests check the oracle's products of ``_spectrum``'s slices, inverted by
+srtd's ``_from_spectrum``."""
 
 import os
 import subprocess
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import srtd
 from srtd import t_algebra, transforms
 from srtd.errors import DimensionError, ParameterError
-from srtd.t_algebra import svt, tnn, tsvd_leading
+from srtd.t_algebra import svt
 from srtd.tensor_core import fro_norm
 
 from oracles import (
@@ -29,12 +30,11 @@ from oracles import (
     bcirc,
     fold,
     identity_tensor,
-    product_of_spectra,
+    tnn,
     tnn_via_tsvd,
     tproduct,
     trace_bound_check,
     trace_pair,
-    truncate_factors,
     tsvd,
     ttnn,
     ttrace,
@@ -57,10 +57,16 @@ def _svt_oracle(x, tau):
     return np.fft.irfft(np.moveaxis((fu * sv[:, None, :]) @ fvh, 0, 2), n=x.shape[2], axis=2)
 
 
-def _w_gradient(x, r):
-    """The solver's W-gradient: the t-product of the r leading T-SVD
-    factors of x, from ``tsvd_leading``'s frequency slices."""
-    return product_of_spectra(*tsvd_leading(x, r), x.shape[2])
+def _partial_svt_oracle(x, tau, keep):
+    """The partial SVT from each rfft slice's full SVD: the ``keep`` leading
+    singular values kept, the rest shrunk by tau and floored at zero."""
+    fx = np.fft.rfft(x, axis=2)
+    for f in range(fx.shape[2]):
+        u, sv, vh = np.linalg.svd(fx[:, :, f], full_matrices=False)
+        d = np.maximum(sv - tau, 0.0)
+        d[:keep] = sv[:keep]
+        fx[:, :, f] = (u * d) @ vh
+    return np.fft.irfft(fx, n=x.shape[2], axis=2)
 
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -566,43 +572,47 @@ def test_trace_bound_shape_errors():
         trace_bound_check(np.ones((3, 4)), np.zeros((1, 3)), np.zeros((2, 4)))
 
 
-@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("route", ["gram", "svd"])
 @_PROPERTY
-@given(n1=st.integers(1, 7), n2=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_tsvd_leading_gives_the_truncated_tsvd_gradient(n3, n1, n2, seed, data):
-    # the W-gradient does not depend on the phase of the singular vectors,
-    # so it must agree with the full T-SVD route to rounding. The factors
-    # are lists of U_f[:, :r] and V_f^H[:r], one per frequency, laid out as
-    # _spectrum's: real exactly at the zero frequency and, for even n3, the
-    # Nyquist; n3 = 6 has both real slices and two complex ones
-    r = data.draw(st.integers(1, min(n1, n2)), label="r")
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), n3=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 1.5), keep=st.integers(0, 9))
+def test_partial_svt_matches_the_per_slice_svd_oracle(threads, route, n1, n2, n3, seed,
+                                                      frac, keep):
+    # the keep leading singular values of each slice pass unshrunk and the
+    # rest shrink by tau, through the Gram matrix (every slice passes its
+    # guard at these tau) or, with the guard closed, through the SVD; into
+    # out too. keep = 0 is the plain SVT's call bit for bit
     x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
-    fu, fv = tsvd_leading(x, r)
-    assert len(fu) == len(fv) == n3 // 2 + 1
-    for f, (u, vh) in enumerate(zip(fu, fv)):
-        dtype = np.float64 if f == 0 or 2 * f == n3 else np.complex128
-        assert u.dtype == vh.dtype == dtype
-        assert u.shape == (n1, r) and vh.shape == (r, n2)
-    a_k, b_k = truncate_factors(tsvd(x), r)
-    reference = tproduct(ttranspose(a_k), b_k)
-    got = product_of_spectra(fu, fv, n3)
-    assert fro_norm(got - reference) <= 1e-9 * fro_norm(reference)
+    smax = np.linalg.svd(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0), compute_uv=False).max()
+    tau = frac * smax
+    want = _partial_svt_oracle(x, tau, keep)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(t_algebra, "_slice_threads", lambda: threads)
+        if route == "svd":
+            mp.setattr(t_algebra, "GRAM_COND", 0.0)
+        out = np.zeros(x.shape)
+        svt(x.copy(), tau, out=out, keep=keep)
+        assert np.array_equal(svt(x, tau, keep=0), svt(x, tau))
+        _count_calls(mp, counts, "eigh")
+        got = svt(x, tau, keep=keep)
+    assert fro_norm(got - want) <= 1e-12 * fro_norm(x)
+    assert np.array_equal(out, got)
+    assert (counts["eigh"] > 0) == (route == "gram" and keep < min(n1, n2))
 
 
-def test_tsvd_leading_rank_check():
-    x = np.zeros((3, 4, 2))
-    with pytest.raises(ParameterError):
-        tsvd_leading(x, 0)
-    with pytest.raises(ParameterError):
-        tsvd_leading(x, 4)
+def test_partial_svt_rejects_a_bad_keep():
+    for keep in (-1, 1.5, None):
+        with pytest.raises(ParameterError):
+            svt(np.zeros((2, 2, 2)), 0.5, keep=keep)
 
 
 @pytest.mark.parametrize("routine", [
     lambda x: svt(x, 0.5),
     lambda x: tsvd(x).s,
-    lambda x: _w_gradient(x, 2),
-], ids=["svt", "tsvd", "tsvd_leading"])
+    lambda x: svt(x, 0.5, keep=2),
+], ids=["svt", "tsvd", "partial_svt"])
 def test_slice_svd_falls_back_to_gesvd(monkeypatch, routine):
     monkeypatch.setattr(t_algebra, "GRAM_COND", 0.0)  # svt shrinks every slice by SVD
     x = np.random.default_rng(18).standard_normal((5, 4, 4))
@@ -628,13 +638,14 @@ def test_slice_svd_falls_back_to_gesvd(monkeypatch, routine):
 def test_import_defers_scipy_linalg():
     # no scipy module is loaded by importing srtd or solving: scipy.linalg is
     # needed only for the gesvd retry, and any scipy import would add to the
-    # start-up of every srtd process. The solve has lam > 0 and a 130-long
-    # mode, so both DCT kernels and every ADMM update run.
+    # start-up of every srtd process. The solve has lam > 0, a 130-long
+    # mode and mu from the partial SVT's gate, so both DCT kernels and
+    # every ADMM update run.
     code = (
         "import sys, numpy as np, srtd, srtd.cli\n"
         "m = np.random.default_rng(0).random((130, 3, 2))\n"
         "omega = np.random.default_rng(1).random(m.shape) < 0.5\n"
-        "srtd.srtd_complete(m * omega, omega, srtd.SolverConfig(r=1, lam=0.1, max_outer=2))\n"
+        "srtd.srtd_complete(m * omega, omega, srtd.SolverConfig(r=1, lam=0.1, mu_init=1e-2))\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(srtd.__file__).resolve().parents[1]))
@@ -645,14 +656,14 @@ def test_import_defers_scipy_linalg():
 
 def test_import_starts_no_thread_and_serial_slices_start_none():
     # importing srtd loads no concurrent.futures (about 10 ms of every
-    # start-up) and starts no thread; with no BLAS thread count set, svt and
-    # tsvd_leading keep to the calling thread
+    # start-up) and starts no thread; with no BLAS thread count set, svt
+    # keeps to the calling thread, partial or not
     code = (
         "import sys, threading, numpy as np, srtd\n"
-        "from srtd.t_algebra import svt, tsvd_leading\n"
+        "from srtd.t_algebra import svt\n"
         "print('concurrent.futures' in sys.modules, threading.active_count())\n"
         "x = np.random.default_rng(0).standard_normal((6, 5, 8))\n"
-        "svt(x, 0.5), tsvd_leading(x, 2)\n"
+        "svt(x, 0.5), svt(x, 0.5, keep=2)\n"
         "print('concurrent.futures' in sys.modules, threading.active_count())\n"
     )
     env = {k: v for k, v in os.environ.items() if k not in t_algebra._BLAS_THREAD_VARS}
@@ -679,7 +690,7 @@ def test_pooled_slices_load_no_thread_pool():
         "x = np.random.default_rng(0).standard_normal((6, 5, 8))\n"
         "t_algebra.svt(x, 0.5)\n"
         "omega = np.random.default_rng(1).random(x.shape) < 0.5\n"
-        "srtd.srtd_complete(x * omega, omega, srtd.SolverConfig(r=1, max_outer=2))\n"
+        "srtd.srtd_complete(x * omega, omega, srtd.SolverConfig(r=1, max_inner=20))\n"
         "print('srtd-slice' in threads, threading.active_count(),"
         " sorted(k for k in ('concurrent.futures', 'logging') if k in sys.modules))\n"
     )
@@ -706,36 +717,16 @@ def test_pooled_slices_are_bitwise_serial(slice_threads, workers, n1, n2, n3):
     taus = (0.0, 1e-2, 0.3 * smax, 2.0 * smax)
 
     def run():
-        fu, fvh = tsvd_leading(x, 2)
-        return [svt(x, tau) for tau in taus] + fu + fvh
+        return [svt(x, tau, keep=keep) for tau in taus for keep in (0, 2)]
 
     slice_threads(1)
     serial = run()
     slice_threads(workers + 1)
     for _ in range(3):
         got = run()
-        assert len(got) == len(serial) == len(taus) + 2 * (n3 // 2 + 1)
+        assert len(got) == len(serial) == 2 * len(taus)
         for have, want in zip(got, serial):
             assert np.array_equal(have, want)
-
-
-def test_tsvd_leading_starts_no_slice_thread(slice_threads, monkeypatch):
-    # svt shrinks its slices on slice threads; tsvd_leading factors its
-    # slices on the calling thread, one after another, whatever the count
-    slice_threads(2)
-    started = []
-    start = threading.Thread.start
-
-    def recorded(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recorded)
-    x = np.random.default_rng(23).standard_normal((6, 5, 8))
-    tsvd_leading(x, 2)
-    assert started == []
-    svt(x, 0.5)
-    assert "srtd-slice" in started
 
 
 def test_each_slice_runs_slices_at_once(slice_threads):
@@ -817,7 +808,7 @@ def test_concurrent_solves_match_their_serial_runs(slice_threads):
         rng = np.random.default_rng(seed)
         g = tproduct(rng.standard_normal((16, 2, 9)), rng.standard_normal((2, 14, 9)))
         omega = srtd.random_mask(g.shape, 0.6, seed)
-        instances.append((g * omega, omega, srtd.SolverConfig(r=2, seed=seed, max_outer=3)))
+        instances.append((g * omega, omega, srtd.SolverConfig(r=2, seed=seed)))
     slice_threads(1)
     serial = [srtd.srtd_complete(*inst).recovered for inst in instances]
     slice_threads(2)
